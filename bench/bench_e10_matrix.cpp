@@ -48,7 +48,10 @@ constexpr std::uint64_t kMaxInstructions = 10'000;
 
 /// Source lines fed to the assembler for one cold build of every
 /// translation unit (top-level sources plus every resolved include), for
-/// the lines/s throughput metric.
+/// the lines/s throughput metric. Lines of a prelude include served from
+/// the include memo still count: a memo hit reports the same include
+/// edges as re-lexing would, so "assembler lines/s" keeps its meaning —
+/// source lines accounted for per second of a cold build.
 std::uint64_t count_assembled_lines(const support::VirtualFileSystem& vfs,
                                     const SystemLayout& layout) {
   std::uint64_t lines = 0;

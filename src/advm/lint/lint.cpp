@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <utility>
 
 #include "advm/environment.h"
 #include "advm/lint/analyses.h"
 #include "advm/lint/cfg.h"
 #include "advm/regression.h"
-#include "asm/assembler.h"
-#include "asm/linker.h"
-#include "soc/global_layer.h"
-#include "support/diagnostics.h"
 #include "support/text.h"
 
 namespace advm::core {
@@ -55,62 +50,15 @@ LintReport Linter::lint_cell(std::string_view env_dir,
   const std::string test_path =
       join_path(join_path(env_dir, std::string(test_id)), kTestSourceFile);
 
-  // Same cell build recipe as the violation checker's linkage pass: the
-  // abstraction layer (when present) shadows the global libraries on the
-  // include path, and the four shared library objects link alongside the
-  // test object whenever their sources exist.
-  support::DiagnosticEngine diags;
-  assembler::AssemblerOptions options;
-  const std::string abstraction_dir =
-      join_path(env_dir, kAbstractionLayerDir);
-  if (vfs_.dir_exists(abstraction_dir)) {
-    options.include_dirs.push_back(abstraction_dir);
-  }
-  options.include_dirs.push_back(std::string(global_dir));
-
-  std::vector<std::shared_ptr<const assembler::ObjectFile>> held;
-  std::vector<const assembler::ObjectFile*> objects;
-
-  CachedObject test_obj = cache_->assemble(vfs_, test_path, options);
-  if (!test_obj.ok()) {
-    report.findings.push_back(
-        build_failure(env_dir, test_id, test_path,
-                      "cell does not assemble: " + test_obj.error));
-    return report;
-  }
-  objects.push_back(test_obj.object.get());
-
-  for (const char* shared :
-       {kBaseFunctionsFile, kTrapLibraryFile, soc::kEmbeddedSoftwareFile,
-        soc::kCommonFunctionsFile}) {
-    std::string path = shared == std::string(kBaseFunctionsFile)
-                           ? join_path(abstraction_dir, shared)
-                           : join_path(global_dir, shared);
-    if (!vfs_.exists(path)) continue;
-    CachedObject obj = cache_->assemble(vfs_, path, options);
-    if (!obj.ok()) {
-      report.findings.push_back(
-          build_failure(env_dir, test_id, path,
-                        "environment library does not assemble: " +
-                            obj.error));
-      return report;
-    }
-    objects.push_back(obj.object.get());
-    held.push_back(std::move(obj.object));
-  }
-
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  auto image = assembler::link(objects, link_options, diags);
-  if (!image) {
-    report.findings.push_back(
-        build_failure(env_dir, test_id, test_path,
-                      "cell does not link: " + diags.to_string()));
+  LinkedCell cell =
+      link_cell(vfs_, *cache_, env_dir, global_dir, test_path, spec);
+  if (!cell.image) {
+    report.findings.push_back(build_failure(
+        env_dir, test_id, std::move(cell.failed_file), std::move(cell.detail)));
     return report;
   }
 
-  const lint::CodeModel model = lint::build_code_model(*image);
+  const lint::CodeModel model = lint::build_code_model(*cell.image);
   lint::AnalysisConfig config;
   config.rom_base = spec.rom_base;
   config.rom_size = spec.rom_size;

@@ -11,57 +11,11 @@ namespace advm::core {
 
 using assembler::Assembler;
 using assembler::AssemblerOptions;
+using assembler::deps_digest_of;
 using assembler::IncludeEdge;
 using assembler::ObjectFile;
-
-std::uint64_t options_fingerprint(const AssemblerOptions& options) {
-  support::Fnv1a h;
-  h.update(std::uint64_t{options.include_dirs.size()});
-  for (const std::string& dir : options.include_dirs) h.update(dir);
-  h.update(std::uint64_t{options.predefines.size()});
-  for (const auto& [name, value] : options.predefines) {
-    h.update(name);
-    h.update(static_cast<std::uint64_t>(value));
-  }
-  h.update(std::uint64_t{options.emit_listing ? 1u : 0u});
-  h.update(std::uint64_t{options.max_include_depth});
-  h.update(std::uint64_t{options.max_macro_depth});
-  return h.digest();
-}
-
-namespace {
-
-/// Digest over the current content of every include an assembly resolved.
-/// A regenerated Globals.inc (porting, `advm random`) changes this, which
-/// invalidates the entry; a vanished include changes it too.
-std::uint64_t deps_digest_of(const support::VirtualFileSystem& vfs,
-                             const std::vector<IncludeEdge>* includes) {
-  support::Fnv1a h;
-  if (includes == nullptr) return h.digest();
-  for (const IncludeEdge& edge : *includes) {
-    h.update(edge.to_file);
-    if (auto content = vfs.read(edge.to_file)) {
-      h.update(*content);
-    } else {
-      h.update(std::uint64_t{0xdeadULL});  // absent ≠ empty
-    }
-  }
-  return h.digest();
-}
-
-/// True while every include path that was probed-and-missing at build time
-/// is still missing. A hit on such a path means a newly created file now
-/// shadows the entry's recorded resolution.
-bool probed_misses_still_missing(const support::VirtualFileSystem& vfs,
-                                 const std::vector<std::string>* probed) {
-  if (probed == nullptr) return true;
-  for (const std::string& path : *probed) {
-    if (vfs.exists(path)) return false;
-  }
-  return true;
-}
-
-}  // namespace
+using assembler::options_fingerprint;
+using assembler::probed_misses_still_missing;
 
 CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
                                    std::string_view path,
@@ -159,7 +113,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
 
     if (!entry->valid) {
       support::DiagnosticEngine diags;
-      Assembler assembler(vfs, diags, options);
+      Assembler assembler(vfs, diags, options, &memo_);
       auto result = assembler.assemble_file(norm);
       if (result) {
         entry->object =

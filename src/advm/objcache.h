@@ -44,6 +44,12 @@
 // concurrent shard workers can share one cache directory. The byte budget
 // spans both tiers: memory evicts LRU first, then the disk tier trims its
 // oldest entries until memory + disk fits.
+//
+// Include preludes: every miss assembles through the cache's include memo
+// (src/asm/include_memo.h), so the Globals.inc every test of an
+// environment opens with is lexed once per cache lifetime, not once per
+// test. The memo sits below the hit/miss accounting and never changes an
+// assembly's result.
 #pragma once
 
 #include <atomic>
@@ -56,6 +62,7 @@
 
 #include "advm/objstore.h"
 #include "asm/assembler.h"
+#include "asm/include_memo.h"
 #include "support/vfs.h"
 
 namespace advm::core {
@@ -89,11 +96,6 @@ struct CachedObject {
   [[nodiscard]] bool ok() const { return object != nullptr; }
 };
 
-/// FNV-1a fingerprint of everything in AssemblerOptions that can change an
-/// assembly's output (include path order, predefines, limits).
-[[nodiscard]] std::uint64_t options_fingerprint(
-    const assembler::AssemblerOptions& options);
-
 class ObjectCache {
  public:
   /// `max_bytes` caps the emitted-byte footprint across both tiers (LRU
@@ -123,6 +125,11 @@ class ObjectCache {
                                       const assembler::AssemblerOptions& options);
 
   [[nodiscard]] ObjectCacheStats stats() const;
+
+  /// The include-prelude memo every miss assembles through.
+  [[nodiscard]] const assembler::IncludeMemo& include_memo() const {
+    return memo_;
+  }
 
  private:
   struct Entry {
@@ -155,6 +162,7 @@ class ObjectCache {
   std::map<std::uint64_t, std::shared_ptr<Entry>> entries_;
   std::uint64_t max_bytes_ = 0;
   std::unique_ptr<PersistentObjectStore> store_;
+  assembler::IncludeMemo memo_;
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -98,33 +98,16 @@ EnvBuildContext prepare_environment(const support::VirtualFileSystem& vfs,
                                     std::string_view global_dir,
                                     ObjectCache& cache) {
   EnvBuildContext ctx;
-  const std::string abstraction_dir =
-      join_path(env_dir, kAbstractionLayerDir);
-
-  if (vfs.dir_exists(abstraction_dir)) {
-    ctx.asm_options.include_dirs.push_back(abstraction_dir);
-  }
-  ctx.asm_options.include_dirs.push_back(std::string(global_dir));
-
-  auto add_shared = [&](const std::string& path) {
-    if (!vfs.exists(path)) return true;  // optional component
+  CellRecipe recipe = cell_recipe(vfs, env_dir, global_dir);
+  ctx.asm_options = std::move(recipe.options);
+  for (const std::string& path : recipe.shared_sources) {
     CachedObject built = cache.assemble(vfs, path, ctx.asm_options);
     if (!built.ok()) {
       ctx.error = "shared object '" + path + "': " + built.error;
       append_include_trail(ctx.error, built.includes);
-      return false;
+      return ctx;
     }
     ctx.shared_objects.push_back(std::move(built.object));
-    return true;
-  };
-
-  if (!add_shared(join_path(abstraction_dir, kBaseFunctionsFile))) return ctx;
-  if (!add_shared(join_path(global_dir, kTrapLibraryFile))) return ctx;
-  if (!add_shared(join_path(global_dir, soc::kEmbeddedSoftwareFile))) {
-    return ctx;
-  }
-  if (!add_shared(join_path(global_dir, soc::kCommonFunctionsFile))) {
-    return ctx;
   }
   ctx.ok = true;
   return ctx;
@@ -398,6 +381,60 @@ std::vector<RegressionReport> run_two_phase(
 }
 
 }  // namespace
+
+CellRecipe cell_recipe(const support::VirtualFileSystem& vfs,
+                       std::string_view env_dir, std::string_view global_dir) {
+  CellRecipe recipe;
+  const std::string abstraction_dir = join_path(env_dir, kAbstractionLayerDir);
+  if (vfs.dir_exists(abstraction_dir)) {
+    recipe.options.include_dirs.push_back(abstraction_dir);
+  }
+  recipe.options.include_dirs.push_back(std::string(global_dir));
+  for (std::string path :
+       {join_path(abstraction_dir, kBaseFunctionsFile),
+        join_path(global_dir, kTrapLibraryFile),
+        join_path(global_dir, soc::kEmbeddedSoftwareFile),
+        join_path(global_dir, soc::kCommonFunctionsFile)}) {
+    if (vfs.exists(path)) recipe.shared_sources.push_back(std::move(path));
+  }
+  return recipe;
+}
+
+LinkedCell link_cell(const support::VirtualFileSystem& vfs, ObjectCache& cache,
+                     std::string_view env_dir, std::string_view global_dir,
+                     const std::string& test_path,
+                     const soc::DerivativeSpec& spec) {
+  LinkedCell cell;
+  const CellRecipe recipe = cell_recipe(vfs, env_dir, global_dir);
+  CachedObject test_obj = cache.assemble(vfs, test_path, recipe.options);
+  if (!test_obj.ok()) {
+    cell.failed_file = test_path;
+    cell.detail = "cell does not assemble: " + test_obj.error;
+    return cell;
+  }
+  std::vector<std::shared_ptr<const ObjectFile>> held{test_obj.object};
+  for (const std::string& path : recipe.shared_sources) {
+    CachedObject obj = cache.assemble(vfs, path, recipe.options);
+    if (!obj.ok()) {
+      cell.failed_file = path;
+      cell.detail = "environment library does not assemble: " + obj.error;
+      return cell;
+    }
+    held.push_back(std::move(obj.object));
+  }
+  std::vector<const ObjectFile*> objects;
+  for (const auto& object : held) objects.push_back(object.get());
+  support::DiagnosticEngine diags;
+  assembler::LinkOptions link_options;
+  link_options.code_base = spec.code_base();
+  link_options.data_base = spec.data_base();
+  cell.image = assembler::link(objects, link_options, diags);
+  if (!cell.image) {
+    cell.failed_file = test_path;
+    cell.detail = "cell does not link: " + diags.to_string();
+  }
+  return cell;
+}
 
 RegressionReport RegressionRunner::run_environment(
     std::string_view env_dir, std::string_view global_dir,

@@ -10,12 +10,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "advm/boardpool.h"
 #include "advm/context.h"
 #include "advm/objcache.h"
+#include "asm/linker.h"
 #include "sim/machine.h"
 #include "sim/platform.h"
 #include "soc/derivative.h"
@@ -141,6 +143,31 @@ class RegressionRunner {
 /// Returns cell names relative to `env_dir`.
 [[nodiscard]] std::vector<std::string> discover_tests(
     const support::VirtualFileSystem& vfs, std::string_view env_dir);
+
+/// The cell build recipe every verb shares: the include path of a test in
+/// `env_dir` (its abstraction layer when present, shadowing the global
+/// libraries) and the shared library sources that exist, in link order.
+struct CellRecipe {
+  assembler::AssemblerOptions options;
+  std::vector<std::string> shared_sources;
+};
+[[nodiscard]] CellRecipe cell_recipe(const support::VirtualFileSystem& vfs,
+                                     std::string_view env_dir,
+                                     std::string_view global_dir);
+
+/// A test cell assembled through `cache` and linked against its shared
+/// libraries — the static checkers' view of a cell. When `image` is empty,
+/// `failed_file` names the source that failed and `detail` says how.
+struct LinkedCell {
+  std::optional<assembler::Image> image;
+  std::string failed_file;
+  std::string detail;
+};
+[[nodiscard]] LinkedCell link_cell(const support::VirtualFileSystem& vfs,
+                                   ObjectCache& cache, std::string_view env_dir,
+                                   std::string_view global_dir,
+                                   const std::string& test_path,
+                                   const soc::DerivativeSpec& spec);
 
 /// Runs `count` independent tasks on `jobs` worker threads (0 → one per
 /// hardware thread; ≤1 → inline on the caller). Tasks are claimed from an

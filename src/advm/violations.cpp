@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "advm/environment.h"
-#include "asm/assembler.h"
+#include "advm/regression.h"
 #include "asm/lexer.h"
-#include "asm/linker.h"
 #include "soc/global_layer.h"
 #include "support/diagnostics.h"
 #include "support/text.h"
@@ -131,57 +130,15 @@ void check_linkage(const support::VirtualFileSystem& vfs,
                    const std::string& test_path,
                    const soc::DerivativeSpec& spec, ObjectCache& cache,
                    ViolationReport& report) {
-  support::DiagnosticEngine diags;
-  assembler::AssemblerOptions options;
-  const std::string abstraction_dir =
-      join_path(env_dir, kAbstractionLayerDir);
-  if (vfs.dir_exists(abstraction_dir)) {
-    options.include_dirs.push_back(abstraction_dir);
-  }
-  options.include_dirs.push_back(std::string(global_dir));
-
-  std::vector<std::shared_ptr<const assembler::ObjectFile>> held;
-  std::vector<const assembler::ObjectFile*> objects;
-
-  CachedObject test_obj = cache.assemble(vfs, test_path, options);
-  if (!test_obj.ok()) {
+  LinkedCell cell = link_cell(vfs, cache, env_dir, global_dir, test_path, spec);
+  if (!cell.image) {
     report.violations.push_back(file_violation(
-        "advm.unbuildable", test_path,
-        "cell does not assemble: " + test_obj.error));
-    return;
-  }
-  objects.push_back(test_obj.object.get());
-
-  for (const char* shared :
-       {kBaseFunctionsFile, kTrapLibraryFile, soc::kEmbeddedSoftwareFile,
-        soc::kCommonFunctionsFile}) {
-    std::string path = shared == std::string(kBaseFunctionsFile)
-                           ? join_path(abstraction_dir, shared)
-                           : join_path(global_dir, shared);
-    if (!vfs.exists(path)) continue;
-    CachedObject obj = cache.assemble(vfs, path, options);
-    if (!obj.ok()) {
-      report.violations.push_back(file_violation(
-          "advm.unbuildable", path,
-          "environment library does not assemble: " + obj.error));
-      return;
-    }
-    objects.push_back(obj.object.get());
-    held.push_back(std::move(obj.object));
-  }
-
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  auto image = assembler::link(objects, link_options, diags);
-  if (!image) {
-    report.violations.push_back(file_violation(
-        "advm.unbuildable", test_path,
-        "cell does not link: " + diags.to_string()));
+        "advm.unbuildable", std::move(cell.failed_file),
+        std::move(cell.detail)));
     return;
   }
 
-  for (const auto& [name, symbol] : image->symbols) {
+  for (const auto& [name, symbol] : cell.image->symbols) {
     if (!is_global_layer_file(symbol.defined_in)) continue;
     for (const std::string& referrer : symbol.referenced_by) {
       if (referrer == test_path) {

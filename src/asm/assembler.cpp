@@ -4,10 +4,12 @@
 #include <sstream>
 
 #include "asm/expr.h"
+#include "asm/include_memo.h"
 #include "asm/lexer.h"
 #include "isa/instruction.h"
 #include "isa/opcodes.h"
 #include "isa/registers.h"
+#include "support/hash.h"
 #include "support/text.h"
 
 namespace advm::assembler {
@@ -38,8 +40,12 @@ struct SrcOperand {
 class Assembler::Impl {
  public:
   Impl(const support::VirtualFileSystem& vfs, DiagnosticEngine& diags,
-       AssemblerOptions options)
-      : vfs_(vfs), diags_(diags), options_(std::move(options)) {}
+       AssemblerOptions options, IncludeMemo* memo)
+      : vfs_(vfs),
+        diags_(diags),
+        options_(std::move(options)),
+        memo_(memo),
+        options_digest_(memo != nullptr ? options_fingerprint(options_) : 0) {}
 
   std::optional<AssembleResult> assemble_file(std::string_view path) {
     std::string norm = support::normalize_path(path);
@@ -568,10 +574,70 @@ class Assembler::Impl {
     }
 
     includes_.push_back(IncludeEdge{current_file, *resolved, name_tok.loc});
-    std::string content = vfs_.read_required(*resolved);
+    const std::string& content = vfs_.read_required(*resolved);
+    if (memo_ != nullptr && at_reset_state()) {
+      return include_prelude(*resolved, content);
+    }
     include_stack_.push_back(*resolved);
     process_buffer(*resolved, content);
     include_stack_.pop_back();
+  }
+
+  /// True while nothing but predefines has happened: the state a prelude
+  /// include leaves behind then depends only on the included files and
+  /// the options, which is what makes it memoizable.
+  [[nodiscard]] bool at_reset_state() const {
+    return equates_.size() == options_.predefines.size() &&
+           defines_.empty() && macros_.empty() && macro_instance_ == 0 &&
+           !options_.emit_listing && emitted_nothing();
+  }
+
+  /// No output, no section change and no open scope — all a prelude
+  /// include may change are the name tables.
+  [[nodiscard]] bool emitted_nothing() const {
+    const ObjSection& code = object_.sections.front();
+    return object_.symbols.empty() && object_.relocations.empty() &&
+           object_.sections.size() == 1 && current_section_ == 0 &&
+           code.bytes.empty() && !code.org && cond_stack_.empty() &&
+           include_stack_.empty() && macro_depth_ == 0 && !collecting_macro_;
+  }
+
+  /// Processes an include met in the reset state through the memo: copies
+  /// a still-valid record in, or processes the file and records what it
+  /// left behind if it only defined names (no diagnostics, no output, no
+  /// open .IF or .MACRO).
+  void include_prelude(const std::string& path, const std::string& content) {
+    if (auto prelude = memo_->lookup(vfs_, path, options_digest_, content)) {
+      equates_ = prelude->equates;
+      defines_ = prelude->defines;
+      macros_ = prelude->macros;
+      macro_instance_ = prelude->macro_instance;
+      includes_.insert(includes_.end(), prelude->includes.begin(),
+                       prelude->includes.end());
+      probed_misses_.insert(probed_misses_.end(),
+                            prelude->probed_misses.begin(),
+                            prelude->probed_misses.end());
+      return;
+    }
+    const std::size_t diags_before = diags_.all().size();
+    const std::size_t includes_before = includes_.size();
+    const std::size_t probes_before = probed_misses_.size();
+    include_stack_.push_back(path);
+    process_buffer(path, content);
+    include_stack_.pop_back();
+    if (diags_.all().size() != diags_before || !emitted_nothing()) return;
+    auto prelude = std::make_shared<IncludePrelude>();
+    prelude->equates = equates_;
+    prelude->defines = defines_;
+    prelude->macros = macros_;
+    prelude->macro_instance = macro_instance_;
+    prelude->includes.assign(includes_.begin() + includes_before,
+                             includes_.end());
+    prelude->probed_misses.assign(probed_misses_.begin() + probes_before,
+                                  probed_misses_.end());
+    prelude->file_digest = support::hash_bytes(content);
+    prelude->deps_digest = deps_digest_of(vfs_, &prelude->includes);
+    memo_->record(path, options_digest_, std::move(prelude));
   }
 
   std::optional<std::string> resolve_include(const std::string& name,
@@ -1191,15 +1257,6 @@ class Assembler::Impl {
   ObjSection& current() { return object_.sections[current_section_]; }
 
   // ------------------------------------------------------------------ state --
-  struct MacroLine {
-    std::string text;
-    std::string file;
-    std::uint32_t line = 0;
-  };
-  struct MacroDef {
-    std::vector<std::string> params;
-    std::vector<MacroLine> lines;
-  };
   struct CondFrame {
     bool active = false;
     bool taken = false;
@@ -1209,14 +1266,16 @@ class Assembler::Impl {
   const support::VirtualFileSystem& vfs_;
   DiagnosticEngine& diags_;
   AssemblerOptions options_;
+  IncludeMemo* memo_ = nullptr;  ///< null: every include is processed
+  std::uint64_t options_digest_ = 0;
 
   ObjectFile object_;
   std::vector<IncludeEdge> includes_;
   std::vector<std::string> probed_misses_;
   std::string listing_;
-  std::map<std::string, std::int64_t, std::less<>> equates_;
-  std::map<std::string, std::vector<Token>, std::less<>> defines_;
-  std::map<std::string, MacroDef, std::less<>> macros_;
+  EquateMap equates_;
+  DefineMap defines_;
+  MacroMap macros_;
   std::vector<CondFrame> cond_stack_;
   std::vector<std::string> include_stack_;
   std::size_t current_section_ = 0;
@@ -1228,8 +1287,9 @@ class Assembler::Impl {
 };
 
 Assembler::Assembler(const support::VirtualFileSystem& vfs,
-                     DiagnosticEngine& diags, AssemblerOptions options)
-    : impl_(std::make_unique<Impl>(vfs, diags, std::move(options))) {}
+                     DiagnosticEngine& diags, AssemblerOptions options,
+                     IncludeMemo* memo)
+    : impl_(std::make_unique<Impl>(vfs, diags, std::move(options), memo)) {}
 
 Assembler::~Assembler() = default;
 

@@ -60,6 +60,8 @@ struct IncludeEdge {
   support::SourceLoc loc;
 };
 
+class IncludeMemo;
+
 struct AssembleResult {
   ObjectFile object;
   std::vector<IncludeEdge> includes;
@@ -75,8 +77,12 @@ struct AssembleResult {
 /// includes) into an object file.
 class Assembler {
  public:
+  /// A non-null `memo` serves prelude includes from (and records them
+  /// into) that memo (see asm/include_memo.h); the result is identical
+  /// either way. The memo must outlive the assembler.
   Assembler(const support::VirtualFileSystem& vfs,
-            support::DiagnosticEngine& diags, AssemblerOptions options);
+            support::DiagnosticEngine& diags, AssemblerOptions options,
+            IncludeMemo* memo = nullptr);
   ~Assembler();
 
   Assembler(const Assembler&) = delete;

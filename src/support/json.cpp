@@ -43,6 +43,11 @@ std::optional<bool> Value::as_bool() const {
 
 namespace {
 
+/// Deepest array/object nesting a document may have. Every document the
+/// report layer writes stays in single digits; the cap keeps hostile input
+/// (a socket frame of a million '[') from recursing off the stack.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -89,9 +94,16 @@ class Parser {
     if (at_end()) return fail("unexpected end of input");
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        auto nested = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"':
         return parse_string_value();
       case 't':
@@ -343,6 +355,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects currently open
   std::string error_;
 };
 

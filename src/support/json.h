@@ -53,8 +53,9 @@ class Value {
 };
 
 /// Parses one JSON document (surrounding whitespace allowed, trailing
-/// garbage rejected). On failure returns nullopt and, when `error` is
-/// non-null, a one-line diagnostic with the byte offset.
+/// garbage rejected, arrays/objects nested at most 256 deep). On failure
+/// returns nullopt and, when `error` is non-null, a one-line diagnostic
+/// with the byte offset.
 [[nodiscard]] std::optional<Value> parse(std::string_view text,
                                          std::string* error = nullptr);
 

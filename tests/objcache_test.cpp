@@ -1,7 +1,9 @@
 // Unit tests for the content-addressed object cache: the assemble-once
 // guarantee (hit on identical source/options), the invalidation rules
 // (changed source, changed include, changed predefine → miss), failure
-// caching, and counter determinism under concurrent same-key requests.
+// caching, and counter determinism under concurrent same-key requests —
+// plus the include-prelude memo beneath it, checked against the
+// unmemoized assembler as the reference.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,9 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "advm/environment.h"
 #include "advm/objcache.h"
 #include "advm/objstore.h"
+#include "advm/porting.h"
 #include "advm/regression.h"
+#include "asm/include_memo.h"
+#include "soc/derivative.h"
+#include "support/diagnostics.h"
 #include "support/vfs.h"
 
 namespace {
@@ -524,6 +531,223 @@ TEST(PersistentObjectCache, ByteBudgetSpansBothTiers) {
   EXPECT_LE(stats.bytes + cache.disk_store()->disk_bytes(),
             2 * one_object);
   EXPECT_GT(stats.evictions + stats.persistent_evictions, 0u);
+}
+
+// ---------------------------------------------------------- include memo --
+
+/// Everything one assembly returns, as bytes: success, the rendered
+/// diagnostics, and the object, include edges and probed misses in the
+/// persistent store's encoding. A null `memo` is the reference assembler.
+std::string assembly_bytes(const support::VirtualFileSystem& vfs,
+                           const std::string& path,
+                           const AssemblerOptions& options,
+                           assembler::IncludeMemo* memo) {
+  support::DiagnosticEngine diags;
+  assembler::Assembler asm_driver(vfs, diags, options, memo);
+  auto result = asm_driver.assemble_file(path);
+  StoredObject out;
+  if (result) {
+    out.object = std::move(result->object);
+    out.includes = std::move(result->includes);
+    out.probed_misses = std::move(result->probed_misses);
+  } else {
+    out.includes = asm_driver.last_includes();
+    out.probed_misses = asm_driver.last_probed_misses();
+  }
+  return (result ? "ok\n" : "failed\n") + diags.to_string() +
+         encode_stored_object(out);
+}
+
+/// Assembles each unit through `memo` and expects the reference bytes.
+void expect_transparent(const support::VirtualFileSystem& vfs,
+                        const std::vector<std::string>& units,
+                        const AssemblerOptions& options,
+                        assembler::IncludeMemo& memo) {
+  for (const std::string& unit : units) {
+    EXPECT_EQ(assembly_bytes(vfs, unit, options, &memo),
+              assembly_bytes(vfs, unit, options, nullptr))
+        << unit;
+  }
+}
+
+TEST(IncludeMemo, MemoizedAssemblyMatchesTheReferenceOnEveryCorpusUnit) {
+  // One memo across every tree: fresh inits on SC88-A..D, then one
+  // SC88-A tree ported through every derivative in place (each port
+  // rewrites Globals.inc under the recorded paths).
+  SystemConfig config;
+  config.environments = canonical_environments(3);
+  config.environments.push_back({"DIRECT_MODULE", ModuleKind::Uart, 3, false});
+  assembler::IncludeMemo memo;
+  auto check_tree = [&](const support::VirtualFileSystem& vfs,
+                        const SystemLayout& layout) {
+    for (const EnvironmentLayout& env : layout.environments) {
+      const CellRecipe recipe = cell_recipe(vfs, env.dir, layout.global_dir);
+      std::vector<std::string> units = recipe.shared_sources;
+      for (const TestSpec& test : env.tests) {
+        units.push_back(env.dir + "/" + test.id + "/" + kTestSourceFile);
+      }
+      expect_transparent(vfs, units, recipe.options, memo);
+    }
+  };
+  for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
+    support::VirtualFileSystem vfs;
+    check_tree(vfs, build_system(vfs, config, *spec));
+  }
+  support::VirtualFileSystem vfs;
+  const SystemLayout layout = build_system(vfs, config, soc::derivative_a());
+  for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
+    (void)PortingEngine(vfs).port(layout, *spec, config.globals,
+                                  config.base_functions);
+    check_tree(vfs, layout);
+  }
+  // The memo did serve: most prelude includes were copied in.
+  EXPECT_GT(memo.stats().hits, memo.stats().records);
+}
+
+constexpr const char* kPreludeDir = "/env/Abstraction_Layer";
+constexpr const char* kGlobalsInc = "/env/Abstraction_Layer/Globals.inc";
+constexpr const char* kRegDefs = "/glob/register_defs.inc";
+const std::vector<std::string> kPreludeUnits = {"/env/T1/test.asm",
+                                                "/env/T2/test.asm"};
+
+/// A miniature environment: two tests open with `.INCLUDE Globals.inc`,
+/// which pulls register_defs.inc from the global directory and defines an
+/// equate, a .DEFINE and a macro. `globals_extra` is appended to
+/// Globals.inc, `test_head` goes before each test's include and
+/// `test_tail` after its body.
+support::VirtualFileSystem prelude_tree(std::string_view globals_extra = "",
+                                        std::string_view test_head = "",
+                                        std::string_view test_tail = "") {
+  support::VirtualFileSystem vfs;
+  vfs.write(kRegDefs, "REG_BASE .EQU 0x1000\n");
+  vfs.write(kGlobalsInc, ";; abstraction layer\n"
+                         ".INCLUDE register_defs.inc\n"
+                         "LED_REG .EQU REG_BASE + 4\n"
+                         ".DEFINE ArgReg0 d4\n"
+                         ".MACRO LOADK reg, value\n"
+                         " MOV reg, value\n"
+                         ".ENDM\n" +
+                             std::string(globals_extra));
+  for (std::size_t i = 0; i < kPreludeUnits.size(); ++i) {
+    vfs.write(kPreludeUnits[i],
+              ";; test " + std::to_string(i) + "\n" + std::string(test_head) +
+                  ".INCLUDE Globals.inc\n"
+                  "_main:\n"
+                  " LOADK ArgReg0, LED_REG + " +
+                  std::to_string(i) + "\n HALT\n" + std::string(test_tail));
+  }
+  return vfs;
+}
+
+AssemblerOptions prelude_options() {
+  AssemblerOptions options;
+  options.include_dirs = {kPreludeDir, "/glob"};
+  return options;
+}
+
+TEST(IncludeMemo, PreludeIsRecordedOnceAndServedToLaterUnits) {
+  const auto vfs = prelude_tree();
+  assembler::IncludeMemo memo;
+  expect_transparent(vfs, kPreludeUnits, prelude_options(), memo);
+  EXPECT_EQ(memo.stats().records, 1u);
+  EXPECT_EQ(memo.stats().hits, 1u);
+}
+
+TEST(IncludeMemo, EditingANestedIncludeInvalidates) {
+  auto vfs = prelude_tree();
+  assembler::IncludeMemo memo;
+  const std::string before =
+      assembly_bytes(vfs, kPreludeUnits[1], prelude_options(), nullptr);
+  expect_transparent(vfs, {kPreludeUnits[0]}, prelude_options(), memo);
+  vfs.write(kRegDefs, "REG_BASE .EQU 0x2000\n");
+  expect_transparent(vfs, {kPreludeUnits[1]}, prelude_options(), memo);
+  EXPECT_NE(assembly_bytes(vfs, kPreludeUnits[1], prelude_options(), &memo),
+            before);
+  EXPECT_EQ(memo.stats().records, 2u);
+  EXPECT_EQ(memo.stats().hits, 1u);  // the EXPECT_NE call, on the new record
+}
+
+TEST(IncludeMemo, FileAtANestedProbedMissPathInvalidates) {
+  // register_defs.inc resolved from /glob after missing beside
+  // Globals.inc; a file created at that missed path now shadows it.
+  auto vfs = prelude_tree();
+  assembler::IncludeMemo memo;
+  expect_transparent(vfs, {kPreludeUnits[0]}, prelude_options(), memo);
+  vfs.write(std::string(kPreludeDir) + "/register_defs.inc",
+            "REG_BASE .EQU 0x3000\n");
+  expect_transparent(vfs, {kPreludeUnits[1]}, prelude_options(), memo);
+  EXPECT_EQ(memo.stats().hits, 0u);
+  EXPECT_EQ(memo.stats().records, 2u);
+}
+
+TEST(IncludeMemo, DifferentPredefinesMiss) {
+  const auto vfs = prelude_tree(".IF PLATFORM == 2\nEXTRA .EQU 1\n.ENDIF\n");
+  AssemblerOptions one = prelude_options();
+  one.predefines["PLATFORM"] = 1;
+  AssemblerOptions two = prelude_options();
+  two.predefines["PLATFORM"] = 2;
+  assembler::IncludeMemo memo;
+  expect_transparent(vfs, {kPreludeUnits[0]}, one, memo);
+  expect_transparent(vfs, {kPreludeUnits[0]}, two, memo);
+  EXPECT_EQ(memo.stats().hits, 0u);
+  EXPECT_EQ(memo.stats().records, 2u);
+  expect_transparent(vfs, {kPreludeUnits[1]}, one, memo);
+  expect_transparent(vfs, {kPreludeUnits[1]}, two, memo);
+  EXPECT_EQ(memo.stats().hits, 2u);
+}
+
+TEST(IncludeMemo, IncludeWithAWarningIsNeverMemoized) {
+  const auto vfs = prelude_tree(".WARNING \"prelude is deprecated\"\n");
+  assembler::IncludeMemo memo;
+  expect_transparent(vfs, kPreludeUnits, prelude_options(), memo);
+  EXPECT_EQ(memo.stats().records, 0u);
+  for (const std::string& unit : kPreludeUnits) {
+    EXPECT_NE(assembly_bytes(vfs, unit, prelude_options(), &memo)
+                  .find("prelude is deprecated"),
+              std::string::npos)
+        << unit;
+  }
+}
+
+TEST(IncludeMemo, IncludeThatEmitsOrLeavesScopesOpenIsNotMemoized) {
+  struct Variant {
+    const char* globals_extra;
+    const char* test_tail;
+  };
+  for (const Variant& v : {Variant{"helper:\n", ""},
+                           Variant{" .DB 1, 2\n", ""},
+                           Variant{" .DD LED_REG_PTR\n", ""},
+                           Variant{" .ORG 0x100\n", ""},
+                           Variant{" .SECTION data\n", ""},
+                           Variant{".IF 1\n", ".ENDIF\n"},
+                           Variant{".MACRO OPEN\n", ".ENDM\n"}}) {
+    const auto vfs = prelude_tree(v.globals_extra, "", v.test_tail);
+    assembler::IncludeMemo memo;
+    expect_transparent(vfs, kPreludeUnits, prelude_options(), memo);
+    EXPECT_EQ(memo.stats().records, 0u) << v.globals_extra;
+  }
+}
+
+TEST(IncludeMemo, IncludeAfterTheFirstStatementTakesTheNormalPath) {
+  for (const char* head : {"EARLY .EQU 1\n", "start:\n", " NOP\n",
+                           ".DEFINE EARLY d1\n", ".IF 1\n"}) {
+    const std::string tail = head == std::string(".IF 1\n") ? ".ENDIF\n" : "";
+    const auto vfs = prelude_tree("", head, tail);
+    assembler::IncludeMemo memo;
+    expect_transparent(vfs, kPreludeUnits, prelude_options(), memo);
+    EXPECT_EQ(memo.stats().records, 0u) << head;
+    EXPECT_EQ(memo.stats().hits, 0u) << head;
+  }
+}
+
+TEST(IncludeMemo, ObjectCacheMissesAssembleThroughTheMemo) {
+  const auto vfs = prelude_tree();
+  ObjectCache cache;
+  for (const std::string& unit : kPreludeUnits) {
+    EXPECT_TRUE(cache.assemble(vfs, unit, prelude_options()).ok());
+  }
+  EXPECT_EQ(cache.include_memo().stats().records, 1u);
+  EXPECT_EQ(cache.include_memo().stats().hits, 1u);
 }
 
 }  // namespace

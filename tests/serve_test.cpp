@@ -448,6 +448,42 @@ TEST_F(ServeE2E, ClientVanishingMidRequestLeavesDaemonHealthy) {
   EXPECT_EQ(lost, 1u);
 }
 
+TEST_F(ServeE2E, DeeplyNestedHeaderGetsTypedErrorAndDaemonKeepsServing) {
+  make_tree();
+  spawn_daemon();
+  // One header line of a million '[' used to overflow the JSON parser's
+  // stack and kill the daemon (exit 139).
+  std::string reply;
+  {
+    int fd = -1;
+    ASSERT_TRUE(serve::connect_endpoint(socket_path_, 5'000, &fd).ok());
+    timeval timeout{30, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    ASSERT_TRUE(
+        exec::write_all_fd(fd, std::string(1'000'000, '[') + "\n"));
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+  }
+  const std::size_t newline = reply.find('\n');
+  ASSERT_NE(newline, std::string::npos) << reply;
+  const auto header = serve::decode_frame_header(reply.substr(0, newline));
+  ASSERT_TRUE(header) << reply;
+  EXPECT_EQ(header->exit, 2);
+  EXPECT_NE(reply.find("advm.serve-bad-request"), std::string::npos)
+      << reply;
+  EXPECT_NE(reply.find("nesting deeper than"), std::string::npos) << reply;
+
+  const auto after =
+      run_cli("run \"" + env_dir_ + "\" --format json" + attach_flag());
+  ASSERT_EQ(after.exit_code, 0) << after.err;
+}
+
 TEST_F(ServeE2E, IdleTimeoutDrainsFlushesCostModelAndUnlinksSocket) {
   make_tree();
   const std::string cache_dir = (scratch_ / "cache").string();

@@ -369,4 +369,28 @@ TEST(Json, UnpairedSurrogateHalvesAreATypedParseError) {
   EXPECT_FALSE(json::parse(R"("\uD83D\uDE")", &error).has_value());
 }
 
+TEST(Json, MillionOpenBracketsIsADepthErrorNotACrash) {
+  // Hostile input from a socket frame: unbounded recursion used to
+  // overflow the stack. Past the fixed nesting limit the parser returns
+  // nullopt with a one-line diagnostic.
+  std::string error;
+  EXPECT_FALSE(json::parse(std::string(1'000'000, '['), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than 256 levels"), std::string::npos)
+      << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"k\":";
+  EXPECT_FALSE(json::parse(objects, &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  // Exactly at the limit still parses, and siblings do not add depth.
+  const std::string at_limit =
+      std::string(256, '[') + std::string(256, ']');
+  EXPECT_TRUE(json::parse(at_limit).has_value());
+  EXPECT_FALSE(json::parse("[" + at_limit + "]").has_value());
+  EXPECT_TRUE(json::parse("[" + at_limit.substr(1, 510) + "," +
+                          at_limit.substr(1, 510) + "]")
+                  .has_value());
+}
+
 }  // namespace

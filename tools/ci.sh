@@ -8,6 +8,8 @@
 #              so the perf trajectory of consecutive revisions actually
 #              survives in git history (skippable with ADVM_CI_SKIP_BENCH=1
 #              for quick gates).
+#   4. perfbench: 5 s traced healthy and port laps of the repository
+#              benchmark must report "correct": true.
 #
 # Run from anywhere: the script cds to the repo root first.
 set -euo pipefail
@@ -348,6 +350,28 @@ assert json.dumps(thread["rollup"], sort_keys=True) == \
     "e10 roll-up diverged between thread and process backends"
 print("sim-core lap ok: e10 roll-up byte-identical across backends")
 PY
+
+echo "==> perfbench smoke lane (healthy + port, traced, outputs checked)"
+# The repository benchmark checks every lap's output: replayed digests
+# against the Session's, the interpreter cross-check, and report-byte
+# equality. A cache or memo bug that changes output fails here even
+# where no unit test looks.
+for workload in healthy port; do
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 5 --trace 1 > "build/perfbench-$workload.log" 2>&1; then
+    tail -20 "build/perfbench-$workload.log" >&2
+    exit 1
+  fi
+  python3 - "build/perfbench-$workload.log" "$workload" <<'PY'
+import json, sys
+lines = [l for l in open(sys.argv[1]).read().splitlines() if l.strip()]
+doc = json.loads(lines[-1])
+assert doc["correct"] is True, doc
+assert doc["failed"] == 0, doc
+print("perfbench %s ok: %d laps attempted, all correct"
+      % (sys.argv[2], doc["attempted"]))
+PY
+done
 
 echo "==> -Werror hygiene build"
 cmake --preset werror
