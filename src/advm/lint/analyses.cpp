@@ -110,6 +110,52 @@ DefUse def_use(const isa::Instruction& in) {
   return du;
 }
 
+/// The scope filter as a predicate: a finding survives iff its address
+/// lies in a code region emitted by `scope_source`. An empty scope
+/// (whole-image mode) admits everything.
+class Scope {
+ public:
+  Scope(const CodeModel& model, const std::string& source)
+      : model_(model), source_(source) {}
+
+  [[nodiscard]] bool contains(const CodeRegion& region) const {
+    return source_.empty() || region.source == source_;
+  }
+  [[nodiscard]] bool contains(std::uint32_t address) const {
+    if (source_.empty()) return true;
+    const CodeRegion* region = model_.region_of(address);
+    return region != nullptr && contains(*region);
+  }
+
+ private:
+  const CodeModel& model_;
+  const std::string& source_;
+};
+
+/// A function root and its slot addresses (function_addresses order).
+struct Function {
+  std::uint32_t root = 0;
+  std::vector<std::uint32_t> addresses;
+};
+
+/// The functions whose findings can survive the scope filter: every root
+/// whose body has at least one slot inside the scope. Per-function passes
+/// only ever report at addresses of the function they analyse, so a
+/// skipped root could only have produced findings the filter drops.
+std::vector<Function> scoped_functions(const CodeModel& model,
+                                       const Scope& scope) {
+  std::vector<Function> out;
+  for (const std::uint32_t root : model.roots) {
+    std::vector<std::uint32_t> fn = function_addresses(model, root);
+    if (std::any_of(fn.begin(), fn.end(), [&](std::uint32_t address) {
+          return scope.contains(address);
+        })) {
+      out.push_back({root, std::move(fn)});
+    }
+  }
+  return out;
+}
+
 void emit(std::vector<Finding>* out, const char* code, std::uint32_t address,
           std::string detail) {
   Finding f;
@@ -125,11 +171,16 @@ void emit(std::vector<Finding>* out, const char* code, std::uint32_t address,
 /// handler whose caller context is unknown and therefore assumed fully
 /// defined — that asymmetry is what keeps the pass false-positive-free on
 /// wrapper-heavy ADVM code.
-void find_undef_reg(const CodeModel& model, std::vector<Finding>* out) {
+void find_undef_reg(const CodeModel& model,
+                    const std::vector<Function>& functions,
+                    std::vector<Finding>* out) {
+  const auto entry_fn =
+      std::find_if(functions.begin(), functions.end(),
+                   [&](const Function& f) { return f.root == model.entry; });
+  if (entry_fn == functions.end()) return;  // entry lies outside the scope
   const std::uint32_t sp_bit =
       1u << (16 + static_cast<unsigned>(isa::kStackPointerIndex));
-  const std::vector<std::uint32_t> fn =
-      function_addresses(model, model.entry);
+  const std::vector<std::uint32_t>& fn = entry_fn->addresses;
   const std::set<std::uint32_t> in_fn(fn.begin(), fn.end());
 
   std::map<std::uint32_t, std::uint32_t> undef_in;  // may-undef mask
@@ -181,10 +232,12 @@ void find_undef_reg(const CodeModel& model, std::vector<Finding>* out) {
 /// trap, which may read anything) is a dead store. Exits — returns, HALT,
 /// indirect jumps, paths leaving the function — treat every register as
 /// live, so only provable overwrites fire.
-void find_dead_store(const CodeModel& model, std::vector<Finding>* out) {
+void find_dead_store(const CodeModel& model,
+                     const std::vector<Function>& functions,
+                     std::vector<Finding>* out) {
   std::set<std::pair<std::uint32_t, unsigned>> reported;
-  for (const std::uint32_t root : model.roots) {
-    const std::vector<std::uint32_t> fn = function_addresses(model, root);
+  for (const Function& function : functions) {
+    const std::vector<std::uint32_t>& fn = function.addresses;
     const std::set<std::uint32_t> in_fn(fn.begin(), fn.end());
 
     // Forward successor lists + predecessor map for the backward pass.
@@ -260,8 +313,10 @@ void find_dead_store(const CodeModel& model, std::vector<Finding>* out) {
 /// advm.lint-unreachable — maximal runs of unreached slots. All-zero
 /// slots (alignment/.SPACE padding) are trimmed from the run's edges and
 /// all-zero runs are dropped entirely; what remains is dead code.
-void find_unreachable(const CodeModel& model, std::vector<Finding>* out) {
+void find_unreachable(const CodeModel& model, const Scope& scope,
+                      std::vector<Finding>* out) {
   for (const CodeRegion& region : model.regions) {
+    if (!scope.contains(region)) continue;
     std::size_t i = 0;
     while (i < region.slots.size()) {
       if (region.slots[i].reachable) {
@@ -289,8 +344,10 @@ void find_unreachable(const CodeModel& model, std::vector<Finding>* out) {
 /// advm.lint-ill-reachable — a reachable slot that does not decode, or a
 /// direct branch whose target lies inside code but off the instruction
 /// grid (executing from there decodes garbage).
-void find_ill_reachable(const CodeModel& model, std::vector<Finding>* out) {
+void find_ill_reachable(const CodeModel& model, const Scope& scope,
+                        std::vector<Finding>* out) {
   for (const CodeRegion& region : model.regions) {
+    if (!scope.contains(region)) continue;
     for (const Slot& slot : region.slots) {
       if (!slot.reachable) continue;
       if (!slot.instr) {
@@ -318,12 +375,13 @@ void find_ill_reachable(const CodeModel& model, std::vector<Finding>* out) {
 /// thrashes the simulator's decode cache) or in a ROM window (the write
 /// bus-faults on every real platform).
 void find_rom_write(const CodeModel& model, const AnalysisConfig& config,
-                    std::vector<Finding>* out) {
+                    const Scope& scope, std::vector<Finding>* out) {
   const auto in_window = [](std::uint32_t address, std::uint32_t base,
                             std::uint32_t size) {
     return size != 0 && address >= base && address - base < size;
   };
   for (const CodeRegion& region : model.regions) {
+    if (!scope.contains(region)) continue;
     for (const Slot& slot : region.slots) {
       if (!slot.reachable || !slot.instr) continue;
       const isa::Instruction& in = *slot.instr;
@@ -351,6 +409,7 @@ void find_rom_write(const CodeModel& model, const AnalysisConfig& config,
 /// entry depth, and joins must agree on depth. Functions that write the
 /// stack pointer directly are skipped — they manage SP themselves.
 void find_stack_imbalance(const CodeModel& model,
+                          const std::vector<Function>& functions,
                           std::vector<Finding>* out) {
   const std::uint32_t sp_bit =
       1u << (16 + static_cast<unsigned>(isa::kStackPointerIndex));
@@ -359,8 +418,9 @@ void find_stack_imbalance(const CodeModel& model,
     emit(out, kStackImbalance, address, std::move(detail));
   };
 
-  for (const std::uint32_t root : model.roots) {
-    const std::vector<std::uint32_t> fn = function_addresses(model, root);
+  for (const Function& function : functions) {
+    const std::uint32_t root = function.root;
+    const std::vector<std::uint32_t>& fn = function.addresses;
     const std::set<std::uint32_t> in_fn(fn.begin(), fn.end());
     bool writes_sp = false;
     for (const std::uint32_t address : fn) {
@@ -422,20 +482,24 @@ void find_stack_imbalance(const CodeModel& model,
 
 std::vector<Finding> run_analyses(const CodeModel& model,
                                   const AnalysisConfig& config) {
+  // Every pass reports only at addresses of the function or region it is
+  // analysing, so passes run only over the functions and regions the scope
+  // reaches: whatever a skipped one could report, the filter below would
+  // drop. Reachability and roots still come from the whole image (library
+  // code can make test code reachable), and the filter still runs.
+  const Scope scope(model, config.scope_source);
+  const std::vector<Function> functions = scoped_functions(model, scope);
   std::vector<Finding> findings;
-  find_undef_reg(model, &findings);
-  find_dead_store(model, &findings);
-  find_unreachable(model, &findings);
-  find_ill_reachable(model, &findings);
-  find_rom_write(model, config, &findings);
-  find_stack_imbalance(model, &findings);
+  find_undef_reg(model, functions, &findings);
+  find_dead_store(model, functions, &findings);
+  find_unreachable(model, scope, &findings);
+  find_ill_reachable(model, scope, &findings);
+  find_rom_write(model, config, scope, &findings);
+  find_stack_imbalance(model, functions, &findings);
 
-  if (!config.scope_source.empty()) {
-    std::erase_if(findings, [&](const Finding& f) {
-      const CodeRegion* region = model.region_of(f.address);
-      return region == nullptr || region->source != config.scope_source;
-    });
-  }
+  std::erase_if(findings, [&](const Finding& f) {
+    return !scope.contains(f.address);
+  });
   for (Finding& f : findings) {
     if (const auto symbol = model.symbol_before(f.address)) {
       f.symbol = symbol->to_string();

@@ -37,8 +37,10 @@ struct AnalysisConfig {
   std::uint32_t es_rom_size = 0;
   /// Report only findings anchored in segments emitted by this object
   /// (the cell's own test source) — shared library code is linked into
-  /// every cell and would repeat its findings once per cell. Empty =
-  /// report everywhere (whole-image mode, used by the unit tests).
+  /// every cell and would repeat its findings once per cell. The passes
+  /// skip every function with no slot in the scope and every region of
+  /// another object, which is exact: those could only report outside it.
+  /// Empty = report everywhere (whole-image mode, used by the unit tests).
   std::string scope_source;
 };
 

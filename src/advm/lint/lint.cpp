@@ -39,19 +39,18 @@ LintFinding build_failure(std::string_view env_dir, std::string_view test_id,
   return f;
 }
 
-}  // namespace
-
-LintReport Linter::lint_cell(std::string_view env_dir,
-                             std::string_view global_dir,
-                             std::string_view test_id,
-                             const soc::DerivativeSpec& spec) {
+/// Lints one test cell against its already-prepared environment.
+LintReport lint_prepared(const support::VirtualFileSystem& vfs,
+                         ObjectCache& cache, std::string_view env_dir,
+                         const PreparedEnvironment& env,
+                         std::string_view test_id,
+                         const soc::DerivativeSpec& spec) {
   LintReport report;
   report.cells = 1;
   const std::string test_path =
       join_path(join_path(env_dir, std::string(test_id)), kTestSourceFile);
 
-  LinkedCell cell =
-      link_cell(vfs_, *cache_, env_dir, global_dir, test_path, spec);
+  LinkedCell cell = link_cell(vfs, cache, env, test_path, spec);
   if (!cell.image) {
     report.findings.push_back(build_failure(
         env_dir, test_id, std::move(cell.failed_file), std::move(cell.detail)));
@@ -80,30 +79,58 @@ LintReport Linter::lint_cell(std::string_view env_dir,
   return report;
 }
 
+}  // namespace
+
+LintReport Linter::lint_cell(std::string_view env_dir,
+                             std::string_view global_dir,
+                             std::string_view test_id,
+                             const soc::DerivativeSpec& spec) {
+  const PreparedEnvironment env =
+      prepare_environment(vfs_, *cache_, env_dir, global_dir);
+  return lint_prepared(vfs_, *cache_, env_dir, env, test_id, spec);
+}
+
 LintReport Linter::lint_system(std::string_view system_root,
                                const soc::DerivativeSpec& spec) {
   const std::string global_dir =
       join_path(system_root, kGlobalLibrariesDir);
 
+  // Each environment's shared libraries are fetched from the cache once,
+  // on the pool, before any of its cells is linked against them.
+  struct Environment {
+    std::string dir;
+    std::vector<std::string> tests;
+    PreparedEnvironment prepared;
+  };
+  std::vector<Environment> envs;
+  for (std::string& dir : discover_environments(vfs_, system_root)) {
+    envs.emplace_back().dir = std::move(dir);
+  }
+  parallel_for(envs.size(), jobs_, [&](std::size_t i) {
+    envs[i].tests = discover_tests(vfs_, envs[i].dir);
+    envs[i].prepared =
+        prepare_environment(vfs_, *cache_, envs[i].dir, global_dir);
+  });
+
   struct Cell {
-    std::string env_dir;
-    std::string test_id;
+    const Environment* env = nullptr;
+    const std::string* test_id = nullptr;
   };
   std::vector<Cell> cells;
-  for (const std::string& env_dir :
-       discover_environments(vfs_, system_root)) {
-    for (const std::string& test_id : discover_tests(vfs_, env_dir)) {
-      cells.push_back({env_dir, test_id});
+  for (const Environment& env : envs) {
+    for (const std::string& test_id : env.tests) {
+      cells.push_back({&env, &test_id});
     }
   }
 
-  // Cells are independent (the shared libraries assemble once into the
-  // cache, then link by pointer), so fan out and concatenate in discovery
-  // order — reports are byte-identical for any pool size.
+  // Cells are independent (they link the prepared objects by pointer), so
+  // fan out and concatenate in discovery order — reports are
+  // byte-identical for any pool size.
   std::vector<LintReport> per_cell(cells.size());
   parallel_for(cells.size(), jobs_, [&](std::size_t i) {
-    per_cell[i] =
-        lint_cell(cells[i].env_dir, global_dir, cells[i].test_id, spec);
+    per_cell[i] = lint_prepared(vfs_, *cache_, cells[i].env->dir,
+                                cells[i].env->prepared, *cells[i].test_id,
+                                spec);
   });
 
   LintReport report;

@@ -2,10 +2,14 @@
 // violation checker's linkage pass does — same include directories, same
 // shared-library objects, same LinkOptions, all through the shared
 // ObjectCache — then reconstructs a CodeModel from the linked image and
-// runs the dataflow analyses over it. Findings are scoped to the cell's
-// own test object (shared library code would otherwise repeat its
-// findings once per cell) and attributed back to (environment, test,
-// file, address, symbol).
+// runs the dataflow analyses over it. Each environment is prepared once
+// (prepare_environment: its shared libraries fetched from the cache a
+// single time) and every cell of it links against that by pointer.
+// Findings are scoped to the cell's own test object (shared library code
+// would otherwise repeat its findings once per cell), and the passes only
+// analyse the functions and regions a surviving finding can come from;
+// findings are attributed back to (environment, test, file, address,
+// symbol).
 #pragma once
 
 #include <cstddef>
@@ -66,7 +70,8 @@ class Linter {
   [[nodiscard]] LintReport lint_system(std::string_view system_root,
                                        const soc::DerivativeSpec& spec);
 
-  /// Lints one test cell of one module environment.
+  /// Lints one test cell of one module environment (preparing the
+  /// environment for this one call).
   [[nodiscard]] LintReport lint_cell(std::string_view env_dir,
                                      std::string_view global_dir,
                                      std::string_view test_id,

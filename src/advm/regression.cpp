@@ -20,7 +20,6 @@
 
 namespace advm::core {
 
-using assembler::AssemblerOptions;
 using assembler::ObjectFile;
 using support::join_path;
 
@@ -84,39 +83,27 @@ void append_include_trail(
   error.back() = ']';
 }
 
-/// Everything shared by the tests of one environment build. Shared objects
-/// are held by pointer into the cache — linking a test never copies them.
-struct EnvBuildContext {
-  std::vector<std::shared_ptr<const ObjectFile>> shared_objects;
-  AssemblerOptions asm_options;
-  bool ok = false;
-  std::string error;
-};
-
-EnvBuildContext prepare_environment(const support::VirtualFileSystem& vfs,
-                                    std::string_view env_dir,
-                                    std::string_view global_dir,
-                                    ObjectCache& cache) {
-  EnvBuildContext ctx;
-  CellRecipe recipe = cell_recipe(vfs, env_dir, global_dir);
-  ctx.asm_options = std::move(recipe.options);
-  for (const std::string& path : recipe.shared_sources) {
-    CachedObject built = cache.assemble(vfs, path, ctx.asm_options);
-    if (!built.ok()) {
-      ctx.error = "shared object '" + path + "': " + built.error;
-      append_include_trail(ctx.error, built.includes);
-      return ctx;
-    }
-    ctx.shared_objects.push_back(std::move(built.object));
+/// Links a test object against its environment's shared objects — all by
+/// pointer, zero ObjectFile copies — at the derivative's code/data bases.
+std::optional<assembler::Image> link_against(const ObjectFile& test,
+                                             const PreparedEnvironment& env,
+                                             const soc::DerivativeSpec& spec,
+                                             support::DiagnosticEngine& diags) {
+  std::vector<const ObjectFile*> objects;
+  objects.reserve(1 + env.shared_objects.size());
+  objects.push_back(&test);
+  for (const auto& shared : env.shared_objects) {
+    objects.push_back(shared.get());
   }
-  ctx.ok = true;
-  return ctx;
+  assembler::LinkOptions link_options;
+  link_options.code_base = spec.code_base();
+  link_options.data_base = spec.data_base();
+  return assembler::link(objects, link_options, diags);
 }
 
 /// Link+run phase for one (cell, test): links the cached test object
-/// against the environment's shared objects — all by pointer, zero
-/// ObjectFile copies — and executes the image.
-TestRunRecord run_one_test(const EnvBuildContext& ctx,
+/// against the environment's shared objects and executes the image.
+TestRunRecord run_one_test(const PreparedEnvironment& env,
                            const CachedObject& test_obj,
                            std::string_view env_dir, const std::string& test_id,
                            const soc::DerivativeSpec& spec,
@@ -132,18 +119,8 @@ TestRunRecord run_one_test(const EnvBuildContext& ctx,
     return record;
   }
 
-  std::vector<const ObjectFile*> objects;
-  objects.reserve(1 + ctx.shared_objects.size());
-  objects.push_back(test_obj.object.get());
-  for (const auto& shared : ctx.shared_objects) {
-    objects.push_back(shared.get());
-  }
-
   support::DiagnosticEngine diags;
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  auto image = assembler::link(objects, link_options, diags);
+  auto image = link_against(*test_obj.object, env, spec, diags);
   if (!image) {
     record.detail = diags.to_string();
     return record;
@@ -176,7 +153,7 @@ struct EnvPlan {
   std::string dir;
   std::vector<std::string> tests;
   std::vector<CachedObject> test_objects;  ///< parallel to `tests`
-  EnvBuildContext ctx;
+  PreparedEnvironment env;
 };
 
 /// Assembly phase 1: discovers test cells and assembles shared objects for
@@ -190,7 +167,7 @@ std::vector<EnvPlan> plan_environments(const support::VirtualFileSystem& vfs,
   parallel_for(env_dirs.size(), jobs, [&](std::size_t i) {
     plans[i].dir = env_dirs[i];
     plans[i].tests = discover_tests(vfs, env_dirs[i]);
-    plans[i].ctx = prepare_environment(vfs, env_dirs[i], global_dir, cache);
+    plans[i].env = prepare_environment(vfs, cache, env_dirs[i], global_dir);
   });
   return plans;
 }
@@ -208,7 +185,7 @@ void assemble_tests(const support::VirtualFileSystem& vfs,
   std::vector<Unit> units;
   for (std::size_t e = 0; e < plans.size(); ++e) {
     plans[e].test_objects.resize(plans[e].tests.size());
-    if (!plans[e].ctx.ok) continue;  // env-wide failure covers every cell
+    if (!plans[e].env.ok()) continue;  // env-wide failure covers every cell
     for (std::size_t t = 0; t < plans[e].tests.size(); ++t) {
       units.push_back({e, t});
     }
@@ -218,7 +195,7 @@ void assemble_tests(const support::VirtualFileSystem& vfs,
     const std::string test_path = join_path(
         join_path(plan.dir, plan.tests[units[i].test]), kTestSourceFile);
     plan.test_objects[units[i].test] =
-        cache.assemble(vfs, test_path, plan.ctx.asm_options);
+        cache.assemble(vfs, test_path, plan.env.recipe.options);
   });
 }
 
@@ -227,15 +204,16 @@ TestRunRecord run_planned_test(const EnvPlan& plan, std::size_t test_index,
                                sim::PlatformKind platform,
                                std::uint64_t max_instructions,
                                BoardPool& boards) {
-  if (!plan.ctx.ok) {
+  if (!plan.env.ok()) {
     // Environment-wide build problem: every cell reports it.
     TestRunRecord record;
     record.environment = support::base_name(plan.dir);
     record.test_id = plan.tests[test_index];
-    record.detail = plan.ctx.error;
+    record.detail = "shared object '" + plan.env.failed_source +
+                    "': " + plan.env.error + plan.env.include_trail;
     return record;
   }
-  return run_one_test(plan.ctx, plan.test_objects[test_index], plan.dir,
+  return run_one_test(plan.env, plan.test_objects[test_index], plan.dir,
                       plan.tests[test_index], spec, platform, max_instructions,
                       boards);
 }
@@ -400,35 +378,43 @@ CellRecipe cell_recipe(const support::VirtualFileSystem& vfs,
   return recipe;
 }
 
+PreparedEnvironment prepare_environment(const support::VirtualFileSystem& vfs,
+                                        ObjectCache& cache,
+                                        std::string_view env_dir,
+                                        std::string_view global_dir) {
+  PreparedEnvironment env;
+  env.recipe = cell_recipe(vfs, env_dir, global_dir);
+  for (const std::string& path : env.recipe.shared_sources) {
+    CachedObject built = cache.assemble(vfs, path, env.recipe.options);
+    if (!built.ok()) {
+      env.failed_source = path;
+      env.error = std::move(built.error);
+      append_include_trail(env.include_trail, built.includes);
+      return env;
+    }
+    env.shared_objects.push_back(std::move(built.object));
+  }
+  return env;
+}
+
 LinkedCell link_cell(const support::VirtualFileSystem& vfs, ObjectCache& cache,
-                     std::string_view env_dir, std::string_view global_dir,
+                     const PreparedEnvironment& env,
                      const std::string& test_path,
                      const soc::DerivativeSpec& spec) {
   LinkedCell cell;
-  const CellRecipe recipe = cell_recipe(vfs, env_dir, global_dir);
-  CachedObject test_obj = cache.assemble(vfs, test_path, recipe.options);
+  CachedObject test_obj = cache.assemble(vfs, test_path, env.recipe.options);
   if (!test_obj.ok()) {
     cell.failed_file = test_path;
     cell.detail = "cell does not assemble: " + test_obj.error;
     return cell;
   }
-  std::vector<std::shared_ptr<const ObjectFile>> held{test_obj.object};
-  for (const std::string& path : recipe.shared_sources) {
-    CachedObject obj = cache.assemble(vfs, path, recipe.options);
-    if (!obj.ok()) {
-      cell.failed_file = path;
-      cell.detail = "environment library does not assemble: " + obj.error;
-      return cell;
-    }
-    held.push_back(std::move(obj.object));
+  if (!env.ok()) {
+    cell.failed_file = env.failed_source;
+    cell.detail = "environment library does not assemble: " + env.error;
+    return cell;
   }
-  std::vector<const ObjectFile*> objects;
-  for (const auto& object : held) objects.push_back(object.get());
   support::DiagnosticEngine diags;
-  assembler::LinkOptions link_options;
-  link_options.code_base = spec.code_base();
-  link_options.data_base = spec.data_base();
-  cell.image = assembler::link(objects, link_options, diags);
+  cell.image = link_against(*test_obj.object, env, spec, diags);
   if (!cell.image) {
     cell.failed_file = test_path;
     cell.detail = "cell does not link: " + diags.to_string();

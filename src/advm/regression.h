@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,17 +156,39 @@ struct CellRecipe {
                                      std::string_view env_dir,
                                      std::string_view global_dir);
 
-/// A test cell assembled through `cache` and linked against its shared
-/// libraries — the static checkers' view of a cell. When `image` is empty,
-/// `failed_file` names the source that failed and `detail` says how.
+/// One environment's shared build, prepared once and reused by every cell
+/// of it: the cell recipe plus the shared library objects assembled
+/// through the cache, held by pointer so linking a cell never copies them.
+/// When a library fails to assemble, `failed_source` names it, `error` is
+/// its CachedObject diagnostic and `include_trail` the rendered
+/// " [include trail: …]" suffix (empty when it resolved no includes);
+/// libraries after it in link order are not requested.
+struct PreparedEnvironment {
+  CellRecipe recipe;
+  std::vector<std::shared_ptr<const assembler::ObjectFile>> shared_objects;
+  std::string failed_source;
+  std::string error;
+  std::string include_trail;
+
+  [[nodiscard]] bool ok() const { return failed_source.empty(); }
+};
+[[nodiscard]] PreparedEnvironment prepare_environment(
+    const support::VirtualFileSystem& vfs, ObjectCache& cache,
+    std::string_view env_dir, std::string_view global_dir);
+
+/// A test cell assembled through `cache` and linked against its prepared
+/// environment — the static checkers' view of a cell. When `image` is
+/// empty, `failed_file` names the source that failed and `detail` says
+/// how; a test that does not assemble is reported ahead of a library that
+/// does not.
 struct LinkedCell {
   std::optional<assembler::Image> image;
   std::string failed_file;
   std::string detail;
 };
 [[nodiscard]] LinkedCell link_cell(const support::VirtualFileSystem& vfs,
-                                   ObjectCache& cache, std::string_view env_dir,
-                                   std::string_view global_dir,
+                                   ObjectCache& cache,
+                                   const PreparedEnvironment& env,
                                    const std::string& test_path,
                                    const soc::DerivativeSpec& spec);
 

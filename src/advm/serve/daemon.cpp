@@ -13,9 +13,6 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -36,7 +33,6 @@ namespace advm::core::serve {
 
 namespace {
 
-namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 // ----------------------------------------------------------- wake pipe --
@@ -62,37 +58,18 @@ void poke(int fd) {
 
 // ------------------------------------------------------------ disk sync --
 
-/// A disk tree snapshot: (relative path, content) pairs, read without
-/// holding any session lock so concurrent read-only clients never
-/// serialize on filesystem I/O.
-using DiskTree = std::vector<std::pair<std::string, std::string>>;
+/// A disk tree snapshot, read without holding any session lock so
+/// concurrent read-only clients never serialize on filesystem I/O.
+using support::DiskTree;
 
-/// Mirrors support::import_from_disk (same traversal, same diagnostics)
-/// but into memory instead of the VFS.
+/// support::read_disk_tree with its failure turned into `*error`.
 DiskTree read_disk_tree(const std::string& dir, std::string* error) {
-  DiskTree tree;
   try {
-    const fs::path root(dir);
-    if (!fs::is_directory(root)) {
-      throw std::runtime_error("no such directory: " + dir);
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(root)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string rel =
-          fs::relative(entry.path(), root).generic_string();
-      std::ifstream in(entry.path(), std::ios::binary);
-      if (!in) {
-        throw std::runtime_error("cannot read " + entry.path().string());
-      }
-      std::string content((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-      tree.emplace_back(rel, std::move(content));
-    }
+    return support::read_disk_tree(dir);
   } catch (const std::exception& e) {
     *error = e.what();
-    tree.clear();
+    return {};
   }
-  return tree;
 }
 
 /// True when the VFS copy under `root` is byte-identical to the disk
@@ -122,6 +99,7 @@ struct Connection {
   int fd = -1;
   std::uint64_t serial = 0;
   std::string inbuf;
+  std::size_t scanned = 0;  ///< leading bytes of `inbuf` with no newline
   bool have_header = false;
   Frame request;
   bool executing = false;  ///< verb handed to an executor
@@ -171,6 +149,7 @@ struct Daemon::Impl {
   std::uint64_t clients_lost = 0;
   std::uint64_t requests_ok = 0;
   std::uint64_t requests_failed = 0;
+  std::uint64_t frames_too_large = 0;
   std::map<std::string, std::uint64_t> per_verb;
 
   std::vector<std::thread> executors;
@@ -294,6 +273,7 @@ struct Daemon::Impl {
     stats.clients_lost = clients_lost;
     stats.requests_ok = requests_ok;
     stats.requests_failed = requests_failed;
+    stats.frames_too_large = frames_too_large;
     stats.per_verb = per_verb;
     stats.trees = roots.size();
     return stats;
@@ -313,7 +293,9 @@ struct Daemon::Impl {
        << ",\"clients_served\":" << stats.clients_served
        << ",\"clients_lost\":" << stats.clients_lost
        << ",\"requests_ok\":" << stats.requests_ok
-       << ",\"requests_failed\":" << stats.requests_failed << ",\"requests\":{";
+       << ",\"requests_failed\":" << stats.requests_failed
+       << ",\"frames_too_large\":" << stats.frames_too_large
+       << ",\"requests\":{";
     bool first = true;
     for (const auto& [verb, count] : stats.per_verb) {
       if (!first) os << ",";
@@ -434,13 +416,25 @@ struct Daemon::Impl {
 
   /// Consumes buffered input: header line, then payload line, then
   /// dispatch. A second request on the same connection is ignored — the
-  /// protocol is one request per connection.
+  /// protocol is one request per connection. Each read only scans the
+  /// bytes that arrived since the last one; a line that outgrows
+  /// kMaxFrameLineBytes gets a typed advm.serve-frame-too-large reply and
+  /// the connection is closed.
   void consume_input(Connection& conn) {
     while (!conn.executing && !conn.closing) {
-      const std::size_t newline = conn.inbuf.find('\n');
-      if (newline == std::string::npos) return;
+      const std::size_t newline = conn.inbuf.find('\n', conn.scanned);
+      if (newline == std::string::npos) {
+        conn.scanned = conn.inbuf.size();
+        if (conn.inbuf.size() > kMaxFrameLineBytes) reject_oversized(conn);
+        return;
+      }
+      if (newline > kMaxFrameLineBytes) {
+        reject_oversized(conn);
+        return;
+      }
       std::string line = conn.inbuf.substr(0, newline);
       conn.inbuf.erase(0, newline + 1);
+      conn.scanned = 0;
       if (!conn.have_header) {
         std::string decode_error;
         const auto header = decode_frame_header(line, &decode_error);
@@ -456,6 +450,24 @@ struct Daemon::Impl {
       conn.request.payload = std::move(line);
       dispatch(conn);
     }
+  }
+
+  /// Answers a line past kMaxFrameLineBytes: counted, its buffered bytes
+  /// dropped, a typed error queued, and the connection closed once that
+  /// flushes.
+  void reject_oversized(Connection& conn) {
+    {
+      std::lock_guard<std::mutex> lock(state_mutex);
+      ++frames_too_large;
+    }
+    conn.inbuf.clear();
+    conn.scanned = 0;
+    queue_error(conn, conn.have_header ? conn.request.id : 0,
+                conn.have_header ? conn.request.verb : "",
+                Status::error("advm.serve-frame-too-large",
+                              "frame line longer than " +
+                                  std::to_string(kMaxFrameLineBytes) +
+                                  " bytes"));
   }
 
   /// Non-blocking flush of a queued response. Returns false when the
@@ -605,8 +617,13 @@ int Daemon::serve() {
         char buf[4096];
         const ssize_t n = ::read(conn.fd, buf, sizeof buf);
         if (n > 0) {
+          // Once a request is complete the rest of the stream is ignored
+          // (one request per connection); before that, stop reading past
+          // the line cap and let consume_input reject the frame.
+          if (conn.executing || conn.closing) continue;
           conn.inbuf.append(buf, static_cast<std::size_t>(n));
           conn.last_activity = Clock::now();
+          if (conn.inbuf.size() > kMaxFrameLineBytes) break;
           continue;
         }
         if (n < 0 && errno == EINTR) continue;

@@ -59,6 +59,8 @@ struct DaemonStats {
   std::uint64_t clients_lost = 0;    ///< vanished before their response
   std::uint64_t requests_ok = 0;     ///< responses with exit code 0
   std::uint64_t requests_failed = 0; ///< responses with nonzero exit
+  /// Connections refused with advm.serve-frame-too-large.
+  std::uint64_t frames_too_large = 0;
   std::map<std::string, std::uint64_t> per_verb;  ///< requests by verb
   std::size_t trees = 0;  ///< distinct client directories resident in VFS
 };

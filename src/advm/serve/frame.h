@@ -24,12 +24,20 @@
 // document as the payload.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
 namespace advm::core::serve {
+
+/// Longest header or payload line a daemon accepts. Request lines are a
+/// few hundred bytes; the cap sits far above that (and above the 1 MB
+/// hostile header the serve suite aims at the JSON depth limit) while
+/// still bounding what one client can make the daemon buffer. A longer
+/// line is answered with advm.serve-frame-too-large.
+inline constexpr std::size_t kMaxFrameLineBytes = std::size_t{8} << 20;
 
 struct Frame {
   std::uint64_t id = 0;

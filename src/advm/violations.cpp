@@ -122,15 +122,16 @@ Violation file_violation(std::string code, std::string file,
 }
 
 /// Link-level check: does the test reference symbols defined in the global
-/// layer? Requires a successful build of the full cell. All objects come
-/// from the cache, so the shared environment libraries assemble once per
-/// check run — not once per test cell — and link by pointer.
+/// layer? Requires a successful build of the full cell. The shared
+/// environment libraries come prepared — fetched from the cache once per
+/// environment, not once per test cell — and link by pointer; the test
+/// object comes from the same cache.
 void check_linkage(const support::VirtualFileSystem& vfs,
-                   std::string_view env_dir, std::string_view global_dir,
+                   const PreparedEnvironment& env,
                    const std::string& test_path,
                    const soc::DerivativeSpec& spec, ObjectCache& cache,
                    ViolationReport& report) {
-  LinkedCell cell = link_cell(vfs, cache, env_dir, global_dir, test_path, spec);
+  LinkedCell cell = link_cell(vfs, cache, env, test_path, spec);
   if (!cell.image) {
     report.violations.push_back(file_violation(
         "advm.unbuildable", std::move(cell.failed_file),
@@ -178,6 +179,8 @@ ViolationReport ViolationChecker::check_environment(
   ViolationReport report;
   check_environment_name(env_dir, report);
 
+  const PreparedEnvironment env =
+      prepare_environment(vfs_, *cache_, env_dir, global_dir);
   for (const std::string& entry : vfs_.list_dir(env_dir)) {
     if (entry.empty() || entry.back() != '/') continue;
     const std::string name = entry.substr(0, entry.size() - 1);
@@ -188,8 +191,7 @@ ViolationReport ViolationChecker::check_environment(
     if (!source) continue;
 
     scan_source(test_path, *source, report);
-    check_linkage(vfs_, env_dir, global_dir, test_path, spec, *cache_,
-                  report);
+    check_linkage(vfs_, env, test_path, spec, *cache_, report);
   }
   return report;
 }

@@ -34,28 +34,38 @@ std::size_t export_to_disk(const VirtualFileSystem& vfs,
   return written;
 }
 
-std::size_t import_from_disk(VirtualFileSystem& vfs,
-                             const std::string& disk_dir,
-                             std::string_view vfs_dir) {
+DiskTree read_disk_tree(const std::string& disk_dir) {
   const fs::path root(disk_dir);
   if (!fs::is_directory(root)) {
     throw std::runtime_error("no such directory: " + disk_dir);
   }
-  std::size_t read_count = 0;
+  DiskTree tree;
   for (const auto& entry : fs::recursive_directory_iterator(root)) {
     if (!entry.is_regular_file()) continue;
-    const std::string rel =
-        fs::relative(entry.path(), root).generic_string();
-    std::ifstream in(entry.path(), std::ios::binary);
-    if (!in) {
+    // One sized read per file: open at the end to learn the size.
+    std::ifstream in(entry.path(), std::ios::binary | std::ios::ate);
+    const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+    if (size < 0) {
       throw std::runtime_error("cannot read " + entry.path().string());
     }
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    vfs.write(join_path(vfs_dir, rel), std::move(content));
-    ++read_count;
+    std::string content(static_cast<std::size_t>(size), '\0');
+    in.seekg(0);
+    in.read(content.data(), static_cast<std::streamsize>(content.size()));
+    content.resize(static_cast<std::size_t>(in.gcount()));
+    tree.emplace_back(entry.path().lexically_relative(root).generic_string(),
+                      std::move(content));
   }
-  return read_count;
+  return tree;
+}
+
+std::size_t import_from_disk(VirtualFileSystem& vfs,
+                             const std::string& disk_dir,
+                             std::string_view vfs_dir) {
+  DiskTree tree = read_disk_tree(disk_dir);
+  for (auto& [rel, content] : tree) {
+    vfs.write(join_path(vfs_dir, rel), std::move(content));
+  }
+  return tree.size();
 }
 
 }  // namespace advm::support

@@ -13,7 +13,9 @@
 
 #include "advm/lint/analyses.h"
 #include "advm/lint/cfg.h"
+#include "advm/environment.h"
 #include "advm/lint/lint.h"
+#include "advm/regression.h"
 #include "advm/report.h"
 #include "advm/session.h"
 #include "asm/assembler.h"
@@ -504,6 +506,210 @@ TEST(LintVerb, ValidationFailuresComeBackTyped) {
   LintRequest missing;
   missing.root = "/nowhere";
   EXPECT_EQ(session.run(missing).status.code, "advm.bad-root");
+}
+
+// ------------------------------------------------- scoped passes ----------
+
+/// One line per finding: every field the report renders.
+std::vector<std::string> render(const std::vector<lint::Finding>& findings) {
+  std::vector<std::string> out;
+  for (const lint::Finding& f : findings) {
+    out.push_back(f.code + "@" + std::to_string(f.address) + " " + f.symbol +
+                  " " + f.detail);
+  }
+  return out;
+}
+
+/// The differential the scoped passes must satisfy: analysing only what
+/// the scope reaches equals analysing the whole image and then keeping
+/// the findings anchored in `scope`'s own code. Returns how many
+/// whole-image findings the filter dropped.
+std::size_t expect_scoped_equals_filtered(const lint::CodeModel& model,
+                                          lint::AnalysisConfig config,
+                                          const std::string& scope) {
+  config.scope_source.clear();
+  std::vector<lint::Finding> filtered = lint::run_analyses(model, config);
+  const std::size_t whole = filtered.size();
+  std::erase_if(filtered, [&](const lint::Finding& f) {
+    const lint::CodeRegion* region = model.region_of(f.address);
+    return region == nullptr || region->source != scope;
+  });
+  config.scope_source = scope;
+  EXPECT_EQ(render(lint::run_analyses(model, config)), render(filtered))
+      << "scope " << scope;
+  return whole - filtered.size();
+}
+
+/// Assembles (path, source) objects and links them at the test base, in
+/// order — the multi-object twin of build_image.
+std::optional<lint::CodeModel> build_linked_model(
+    const std::vector<std::pair<std::string, std::string>>& sources) {
+  support::VirtualFileSystem vfs;
+  support::DiagnosticEngine diags;
+  std::vector<assembler::ObjectFile> objects;
+  for (const auto& [path, source] : sources) {
+    assembler::Assembler asm_(vfs, diags, assembler::AssemblerOptions{});
+    auto result = asm_.assemble_source(path, source);
+    if (!result) {
+      ADD_FAILURE() << "assembly failed: " << diags.to_string();
+      return std::nullopt;
+    }
+    objects.push_back(std::move(result->object));
+  }
+  std::vector<const assembler::ObjectFile*> pointers;
+  for (const auto& object : objects) pointers.push_back(&object);
+  assembler::LinkOptions link_options;
+  link_options.code_base = kCodeBase;
+  link_options.data_base = 0x8000;
+  auto image = assembler::link(pointers, link_options, diags);
+  if (!image) {
+    ADD_FAILURE() << "link failed: " << diags.to_string();
+    return std::nullopt;
+  }
+  return lint::build_code_model(*image);
+}
+
+TEST(LintScopedPasses, SeededTestAndLibraryDefectsMatchTheFilteredWholeImage) {
+  // Defects of every pass on both sides of the scope line, plus a library
+  // function that branches into a test label: the test's RETURN is only
+  // analysed through the library root, so that root must not be skipped.
+  auto model = build_linked_model(
+      {{"/test.asm",
+        "_main:\n"
+        " MOV d1, d3\n"          // undef-reg (test)
+        " MOV d5, 7\n"           // dead-store (test)
+        " MOV d5, 8\n"
+        " MOV d0, d5\n"
+        " CALL lib_jumper\n"
+        " CALL lib_bad\n"
+        " STORE [0x2800], d0\n"  // rom-write (test)
+        " HALT\n"
+        " MOV d2, 1\n"           // unreachable (test)
+        "test_tail:\n"
+        " PUSH d0\n"             // stack-imbalance, via the library jump
+        " RETURN\n"},
+       {"/lib.asm",
+        "lib_jumper:\n"
+        " MOV d6, 1\n"           // dead-store (library)
+        " MOV d6, 2\n"
+        " MOV d0, d6\n"
+        " JMP test_tail\n"       // library → test label
+        "lib_bad:\n"
+        " STORE [0x1000], d0\n"  // smc (library)
+        " POP d0\n"              // stack-imbalance (library)
+        " .DB 0xEE, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\n"  // ill-reachable
+        "lib_dead:\n"
+        " MOV d1, 1\n"           // unreachable (library)
+        " RETURN\n"}});
+  ASSERT_TRUE(model);
+  lint::AnalysisConfig config;
+  config.rom_base = 0x2000;
+  config.rom_size = 0x1000;
+  EXPECT_GT(expect_scoped_equals_filtered(*model, config, "/test.asm"), 0u);
+  EXPECT_GT(expect_scoped_equals_filtered(*model, config, "/lib.asm"), 0u);
+  expect_scoped_equals_filtered(*model, config, "/no/such/object.asm");
+
+  config.scope_source = "/test.asm";
+  const auto scoped = lint::run_analyses(*model, config);
+  for (const char* code : {lint::kUndefReg, lint::kDeadStore,
+                           lint::kUnreachable, lint::kRomWrite,
+                           lint::kStackImbalance}) {
+    EXPECT_EQ(count_code(scoped, code), 1u) << code;
+  }
+  config.scope_source = "/lib.asm";
+  const auto library = lint::run_analyses(*model, config);
+  for (const char* code : {lint::kDeadStore, lint::kSmc,
+                           lint::kStackImbalance, lint::kIllReachable,
+                           lint::kUnreachable}) {
+    EXPECT_GE(count_code(library, code), 1u) << code;
+  }
+}
+
+/// Runs the differential over every cell of the tree at /SYS, linked for
+/// `spec`; returns the whole-image findings the scope filter dropped.
+std::size_t differential_over_tree(Session& session,
+                                   const soc::DerivativeSpec& spec) {
+  std::size_t dropped = 0;
+  std::size_t cells = 0;
+  const std::string global_dir = "/SYS/" + std::string(kGlobalLibrariesDir);
+  for (const std::string& env_dir :
+       discover_environments(session.vfs(), "/SYS")) {
+    const PreparedEnvironment env = prepare_environment(
+        session.vfs(), session.cache(), env_dir, global_dir);
+    for (const std::string& test : discover_tests(session.vfs(), env_dir)) {
+      const std::string test_path =
+          env_dir + "/" + test + "/" + kTestSourceFile;
+      const LinkedCell cell =
+          link_cell(session.vfs(), session.cache(), env, test_path, spec);
+      if (!cell.image) {
+        ADD_FAILURE() << test_path << ": " << cell.detail;
+        continue;
+      }
+      lint::AnalysisConfig config;
+      config.rom_base = spec.rom_base;
+      config.rom_size = spec.rom_size;
+      config.es_rom_base = spec.es_rom_base;
+      config.es_rom_size = spec.es_rom_size;
+      dropped += expect_scoped_equals_filtered(
+          lint::build_code_model(*cell.image), config, test_path);
+      ++cells;
+    }
+  }
+  EXPECT_EQ(cells, 10u);
+  return dropped;
+}
+
+TEST(LintScopedPasses, GeneratedTreesMatchTheFilteredWholeImage) {
+  // Every cell of fresh SC88-A..D trees, then an SC88-A tree ported
+  // through B, C and D in place. The whole-image runs report the library
+  // code each test leaves unreached, so the filter is never vacuous.
+  for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
+    Session session;
+    BuildRequest build;
+    build.derivative = spec->name;
+    build.tests_per_module = 2;
+    ASSERT_TRUE(session.run(build).status.ok()) << spec->name;
+    EXPECT_GT(differential_over_tree(session, *spec), 0u) << spec->name;
+  }
+  Session ported;
+  build_canonical_tree(ported);
+  for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
+    if (spec->name == "SC88-A") continue;
+    PortRequest port;
+    port.to = spec->name;
+    ASSERT_TRUE(ported.run(port).status.ok()) << spec->name;
+    EXPECT_GT(differential_over_tree(ported, *spec), 0u) << spec->name;
+  }
+}
+
+TEST(LintScopedPasses, LintFetchesEachSharedLibraryOncePerEnvironment) {
+  // N test objects plus each environment's shared sources once — not once
+  // per cell — for any pool size, cold or warm.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3},
+                                 std::size_t{8}}) {
+    SessionConfig config;
+    config.jobs = jobs;
+    Session session(config);
+    build_canonical_tree(session);
+    const std::string global_dir =
+        "/SYS/" + std::string(kGlobalLibrariesDir);
+    std::uint64_t expected = 0;
+    for (const std::string& env_dir :
+         discover_environments(session.vfs(), "/SYS")) {
+      expected += discover_tests(session.vfs(), env_dir).size() +
+                  cell_recipe(session.vfs(), env_dir, global_dir)
+                      .shared_sources.size();
+    }
+    for (int lap = 0; lap < 2; ++lap) {
+      const ObjectCacheStats before = session.cache().stats();
+      const LintResult result = session.run(LintRequest{});
+      ASSERT_TRUE(result.status.ok());
+      const ObjectCacheStats after = session.cache().stats();
+      EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+                expected)
+          << "jobs " << jobs << " lap " << lap;
+    }
+  }
 }
 
 // -------------------------------------------------------- JSON contract ----

@@ -484,6 +484,52 @@ TEST_F(ServeE2E, DeeplyNestedHeaderGetsTypedErrorAndDaemonKeepsServing) {
   ASSERT_EQ(after.exit_code, 0) << after.err;
 }
 
+TEST_F(ServeE2E, OversizedFrameLineGetsTypedErrorAndDaemonKeepsServing) {
+  make_tree();
+  spawn_daemon();
+  // A header line past the frame cap: the daemon stops buffering, answers
+  // typed and closes instead of growing the connection's input without
+  // bound. The write may fail part-way — the daemon hangs up once the cap
+  // is passed, without reading the rest.
+  std::string reply;
+  {
+    int fd = -1;
+    ASSERT_TRUE(serve::connect_endpoint(socket_path_, 5'000, &fd).ok());
+    timeval timeout{30, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    (void)exec::write_all_fd(
+        fd, std::string(serve::kMaxFrameLineBytes + 1, 'x') + "\n");
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      reply.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+  }
+  const std::size_t newline = reply.find('\n');
+  ASSERT_NE(newline, std::string::npos) << reply;
+  const auto header = serve::decode_frame_header(reply.substr(0, newline));
+  ASSERT_TRUE(header) << reply;
+  EXPECT_EQ(header->exit, 2);
+  EXPECT_NE(reply.find("advm.serve-frame-too-large"), std::string::npos)
+      << reply;
+
+  const auto after =
+      run_cli("run \"" + env_dir_ + "\" --format json" + attach_flag());
+  ASSERT_EQ(after.exit_code, 0) << after.err;
+  const auto stats = run_cli("serve --socket \"" + socket_path_ +
+                             "\" --stats --format json");
+  ASSERT_EQ(stats.exit_code, 0) << stats.err;
+  const auto doc = support::json::parse(stats.out);
+  ASSERT_TRUE(doc) << stats.out;
+  EXPECT_EQ(*doc->find("frames_too_large")->as_uint64(), 1u) << stats.out;
+}
+
 TEST_F(ServeE2E, IdleTimeoutDrainsFlushesCostModelAndUnlinksSocket) {
   make_tree();
   const std::string cache_dir = (scratch_ / "cache").string();
@@ -545,7 +591,8 @@ TEST_F(ServeE2E, StatsDocumentPinsItsContract) {
   const std::vector<std::string> keys = {
       "{\"ok\":true,\"verb\":\"serve\",\"socket\":",  "\"backend\":",
       "\"uptime_ms\":",       "\"clients_served\":",  "\"clients_lost\":",
-      "\"requests_ok\":",     "\"requests_failed\":", "\"requests\":{",
+      "\"requests_ok\":",     "\"requests_failed\":", "\"frames_too_large\":",
+      "\"requests\":{",
       "\"trees\":",           "\"cache\":{\"hits\":", "\"persistent_hits\":",
       "\"boards\":{\"constructed\":",                 "\"stale_evicted\":",
       "\"cost_model\":{\"enabled\":",                 "\"keys\":"};

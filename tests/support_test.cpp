@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 
 #include "support/diagnostics.h"
@@ -315,6 +316,51 @@ TEST_F(DiskTest, ExportOverwritesStaleFiles) {
   VirtualFileSystem back;
   import_from_disk(back, dir_.string(), "/env");
   EXPECT_EQ(back.read("/env/file.txt"), "v2-longer-content");
+}
+
+TEST_F(DiskTest, SymlinkImportsAtItsLinkPathInsideTheRoot) {
+  // A link out of the tree must land under the import root at the path it
+  // was found at, not at its target's canonical location.
+  namespace fs = std::filesystem;
+  fs::create_directories(dir_ / "SYS" / "ENV");
+  fs::create_directories(dir_ / "outside");
+  {
+    std::ofstream(dir_ / "outside" / "real.inc") << "REAL .EQU 1\n";
+  }
+  fs::create_symlink("../../outside/real.inc",
+                     dir_ / "SYS" / "ENV" / "link.inc");
+
+  VirtualFileSystem vfs;
+  EXPECT_EQ(import_from_disk(vfs, (dir_ / "SYS").string(), "/T"), 1u);
+  EXPECT_EQ(vfs.read("/T/ENV/link.inc"), "REAL .EQU 1\n");
+  EXPECT_FALSE(vfs.exists("/outside/real.inc"));
+  EXPECT_EQ(vfs.list_tree("/T"),
+            (std::vector<std::string>{"/T/ENV/link.inc"}));
+}
+
+TEST_F(DiskTest, GeneratedTreeImportsWithUnchangedContents) {
+  // Seeded tree: nested directories, empty files, binary bytes (NUL,
+  // 0xFF, CR/LF) and files larger than one stream buffer.
+  VirtualFileSystem vfs;
+  SplitMix64 rng(7);
+  for (int i = 0; i < 200; ++i) {
+    std::string path = "/gen";
+    const auto depth = rng.range(1, 4);
+    for (std::uint64_t d = 0; d < depth; ++d) {
+      path += "/d" + std::to_string(rng.range(0, 5));
+    }
+    path += "/f" + std::to_string(i) + ".bin";
+    std::string content(rng.chance(1, 10) ? 0 : rng.range(1, 20'000), '\0');
+    for (char& c : content) c = static_cast<char>(rng.range(0, 255));
+    vfs.write(path, std::move(content));
+  }
+  const std::size_t files = vfs.list_tree("/gen").size();
+  ASSERT_EQ(export_to_disk(vfs, "/gen", dir_.string()), files);
+
+  VirtualFileSystem back;
+  EXPECT_EQ(import_from_disk(back, dir_.string() + "/", "/gen"), files);
+  EXPECT_EQ(back.list_tree("/gen"), vfs.list_tree("/gen"));
+  EXPECT_EQ(hash_tree(back, "/gen"), hash_tree(vfs, "/gen"));
 }
 
 // ---------------------------------------------------------------- json ----

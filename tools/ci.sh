@@ -61,6 +61,10 @@ rm -rf build/lint-env
 cp -r build/json-contract-env build/lint-env
 printf '.INCLUDE Globals.inc\n_main:\n MOV d1, d3\n CALL Base_Report_Pass\n' \
   > build/lint-env/MEM_MODULE/TEST_MEMORY_000/test.asm
+# Dead code seeded into a shared library is scoped out of every cell that
+# links it: the report must still hold only the one test finding.
+printf '\nLint_Dead_Code:\n MOV d1, 1\n MOV d1, 2\n RETURN\n' \
+  >> build/lint-env/MEM_MODULE/Abstraction_Layer/base_functions.asm
 if ./build/tools/advm lint build/lint-env --format json > build/lint.json; then
   echo "lint exited 0 on a seeded defect" >&2
   exit 1
@@ -80,8 +84,9 @@ for key in ("code", "environment", "test", "file", "address", "symbol",
             "detail"):
     assert key in f, "missing finding key " + key
 assert f["environment"] == "MEM_MODULE" and f["symbol"] == "_main", f
-print("lint gate ok: clean corpus clean, seeded defect caught as %s"
-      % f["code"])
+assert f["file"] == "MEM_MODULE/TEST_MEMORY_000/test.asm", f
+print("lint gate ok: clean corpus clean, seeded defect caught as %s, "
+      "library defect scoped out" % f["code"])
 PY
 
 echo "==> shard-determinism gate (thread vs pooled process backend on the e10 cube)"
