@@ -154,13 +154,19 @@ LineRead read_line_deadline(int fd, std::string* carry, std::string* line,
                             std::size_t timeout_ms, int* io_errno) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
+  std::size_t scanned = 0;  // leading carry bytes known to hold no '\n'
   for (;;) {
-    const std::size_t newline = carry->find('\n');
-    if (newline != std::string::npos) {
-      *line = carry->substr(0, newline);
+    const std::size_t newline = carry->find('\n', scanned);
+    if (newline != std::string::npos && newline <= kMaxReplyLineBytes) {
+      line->assign(*carry, 0, newline);
       carry->erase(0, newline + 1);
       return LineRead::Line;
     }
+    // A newline past the cap, or none yet after more than the cap.
+    if (newline != std::string::npos || carry->size() > kMaxReplyLineBytes) {
+      return LineRead::TooLong;
+    }
+    scanned = carry->size();
     // Bound each wait with poll(2): 60s chunks re-check the deadline (and
     // keep an infinite wait interruptible at the same cadence).
     int wait_ms = 60'000;
@@ -326,6 +332,14 @@ Status WorkerPool::roundtrip(std::size_t i, const std::string& request,
     case LineRead::Error:
       return fail("response read failed (" +
                   std::string(std::strerror(io_errno)) + ")");
+    case LineRead::TooLong: {
+      // A broken round trip like any other: the caller retires the
+      // worker and requeues its cells.
+      Status status = fail("reply line longer than " +
+                           std::to_string(kMaxReplyLineBytes) + " bytes");
+      status.code = "advm.exec-reply-too-large";
+      return status;
+    }
   }
   return fail("response read failed");
 }

@@ -138,19 +138,28 @@ struct ReapOutcome {
 /// collects it).
 ReapOutcome kill_and_reap(pid_t pid, std::size_t grace_ms);
 
+/// The longest line read_line_deadline accepts, newline excluded. A serve
+/// worker's reply for one 1500-test cell measures ~316 KB, and an attached
+/// daemon's matrix reply holds one such report per cell; the cap sits
+/// ~200× above the former, so only a broken or hostile peer reaches it.
+inline constexpr std::size_t kMaxReplyLineBytes = std::size_t{64} << 20;
+
 /// What read_line_deadline produced.
 enum class LineRead : std::uint8_t {
   Line,     ///< one full line is in *line (newline stripped)
   Eof,      ///< the peer closed before completing a line
   Timeout,  ///< the deadline expired mid-line
   Error,    ///< poll/read failed; errno in *io_errno
+  TooLong,  ///< the line outgrew kMaxReplyLineBytes; the stream is unusable
 };
 
 /// Reads one '\n'-terminated line from `fd` with a poll(2) deadline —
 /// the liveness primitive behind WorkerPool::roundtrip's per-request
 /// timeout, reused by the serve daemon/client for attach deadlines.
 /// `carry` holds bytes read past the last returned line and must persist
-/// across calls on the same stream; `timeout_ms` 0 waits forever. On
+/// across calls on the same stream; `timeout_ms` 0 waits forever. Each
+/// read scans only its new bytes for the newline, and a line longer than
+/// kMaxReplyLineBytes ends the call with TooLong. On
 /// Error the failing errno is captured into *io_errno (when non-null)
 /// before returning, so callers can fold it into a diagnostic without
 /// racing their own cleanup I/O.

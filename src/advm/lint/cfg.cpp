@@ -108,7 +108,7 @@ CodeModel build_code_model(const assembler::Image& image) {
     CodeRegion region;
     region.base = segment.base;
     region.size = static_cast<std::uint32_t>(segment.bytes.size());
-    region.source = segment.source;
+    region.source = image.object_name(segment.object);
     const std::size_t words = segment.bytes.size() / isa::kInstrBytes;
     region.slots.reserve(words);
     for (std::size_t w = 0; w < words; ++w) {
@@ -130,9 +130,9 @@ CodeModel build_code_model(const assembler::Image& image) {
   }
 
   // --- Code symbols, sorted by address, for attribution. ------------------
-  for (const auto& [name, symbol] : image.symbols) {
+  for (const assembler::LinkedSymbol& symbol : image.symbols()) {
     if (model.region_of(symbol.address) != nullptr) {
-      model.symbols.emplace_back(symbol.address, name);
+      model.symbols.emplace_back(symbol.address, image.name(symbol));
     }
   }
   std::sort(model.symbols.begin(), model.symbols.end());

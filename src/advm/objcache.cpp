@@ -23,8 +23,8 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
   const std::string norm = support::normalize_path(path);
   CachedObject out;
 
-  const auto source = vfs.read(norm);
-  if (!source) {
+  const std::string* source = vfs.find(norm);
+  if (source == nullptr) {
     // Uncacheable (there is no content to key on); reproduce the
     // assembler's missing-file diagnostic verbatim.
     misses_.fetch_add(1, std::memory_order_relaxed);

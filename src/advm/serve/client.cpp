@@ -35,6 +35,11 @@ Status read_frame_line(int fd, std::string* carry, std::string* line,
                            std::string("reading the ") + what +
                                " failed (" + std::strerror(io_errno) +
                                ")");
+    case exec::LineRead::TooLong:
+      return Status::error("advm.serve-protocol",
+                           std::string("the ") + what + " is longer than " +
+                               std::to_string(exec::kMaxReplyLineBytes) +
+                               " bytes");
   }
   return Status::error("advm.serve-protocol", "unreachable");
 }

@@ -139,14 +139,17 @@ void check_linkage(const support::VirtualFileSystem& vfs,
     return;
   }
 
-  for (const auto& [name, symbol] : cell.image->symbols) {
-    if (!is_global_layer_file(symbol.defined_in)) continue;
-    for (const std::string& referrer : symbol.referenced_by) {
-      if (referrer == test_path) {
+  const assembler::Image& image = *cell.image;
+  for (const assembler::LinkedSymbol& symbol : image.symbols()) {
+    const std::string_view defined_in = image.object_name(symbol.defined_in);
+    if (!is_global_layer_file(defined_in)) continue;
+    for (const assembler::SymbolRef& ref : image.referrers(symbol)) {
+      if (image.object_name(ref.object) == test_path) {
         report.violations.push_back(file_violation(
             "advm.global-call", test_path,
-            "test calls global-layer symbol '" + name + "' (defined in " +
-                support::base_name(symbol.defined_in) +
+            "test calls global-layer symbol '" +
+                std::string(image.name(symbol)) + "' (defined in " +
+                support::base_name(defined_in) +
                 ") without a Base_ wrapper"));
       }
     }

@@ -25,7 +25,7 @@ std::uint64_t deps_digest_of(const support::VirtualFileSystem& vfs,
   if (includes == nullptr) return h.digest();
   for (const IncludeEdge& edge : *includes) {
     h.update(edge.to_file);
-    if (auto content = vfs.read(edge.to_file)) {
+    if (const std::string* content = vfs.find(edge.to_file)) {
       h.update(*content);
     } else {
       h.update(std::uint64_t{0xdeadULL});  // absent ≠ empty

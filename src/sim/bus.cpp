@@ -144,7 +144,7 @@ bool Bus::fetch(std::uint32_t addr, isa::EncodedInstr& word) const {
 }
 
 bool Bus::load_bytes(std::uint32_t addr,
-                     const std::vector<std::uint8_t>& bytes) {
+                     std::span<const std::uint8_t> bytes) {
   // ROM windows reject bus writes, so image loading uses the program()
   // backdoor when the target is a Rom.
   std::uint32_t cursor = addr;
@@ -156,9 +156,7 @@ bool Bus::load_bytes(std::uint32_t addr,
     const std::size_t chunk =
         std::min<std::size_t>(bytes.size() - index, m->size - offset);
     if (auto* rom = dynamic_cast<Rom*>(m->device.get())) {
-      rom->program(offset, {bytes.begin() + static_cast<std::ptrdiff_t>(index),
-                            bytes.begin() +
-                                static_cast<std::ptrdiff_t>(index + chunk)});
+      rom->program(offset, bytes.subspan(index, chunk));
     } else {
       for (std::size_t i = 0; i < chunk; ++i) {
         if (!m->device->write8(offset + static_cast<std::uint32_t>(i),
@@ -329,8 +327,7 @@ void Rom::reset() {
   bump_generation();
 }
 
-void Rom::program(std::uint32_t offset,
-                  const std::vector<std::uint8_t>& bytes) {
+void Rom::program(std::uint32_t offset, std::span<const std::uint8_t> bytes) {
   const std::uint32_t end = static_cast<std::uint32_t>(
       std::min<std::size_t>(offset + bytes.size(), bytes_.size()));
   if (offset < end) {
@@ -341,9 +338,9 @@ void Rom::program(std::uint32_t offset,
       dirty_lo_ = std::min(dirty_lo_, offset);
       dirty_hi_ = std::max(dirty_hi_, end);
     }
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    if (offset + i < bytes_.size()) bytes_[offset + i] = bytes[i];
+    // Bytes past the end of the ROM are dropped.
+    std::copy_n(bytes.begin(), end - offset,
+                bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
   }
   bump_generation();
 }

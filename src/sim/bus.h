@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,7 +136,7 @@ class Bus {
 
   /// Bulk load (program image loading). Fails if any byte is unmapped.
   [[nodiscard]] bool load_bytes(std::uint32_t addr,
-                                const std::vector<std::uint8_t>& bytes);
+                                std::span<const std::uint8_t> bytes);
 
   /// Advances device time. Only devices whose wants_tick() returned true at
   /// map() time are visited — Ram/Rom no-op ticks cost nothing.
@@ -237,8 +238,9 @@ class Rom : public BusDevice {
     return bytes_.data();
   }
 
-  /// Image loading backdoor (not a bus write).
-  void program(std::uint32_t offset, const std::vector<std::uint8_t>& bytes);
+  /// Image loading backdoor (not a bus write): copies the part of `bytes`
+  /// that fits from `offset` on in one go and widens the dirty range.
+  void program(std::uint32_t offset, std::span<const std::uint8_t> bytes);
 
  private:
   std::string name_;

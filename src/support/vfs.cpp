@@ -63,9 +63,13 @@ void VirtualFileSystem::write(std::string_view path, std::string content) {
 
 std::optional<std::string> VirtualFileSystem::read(
     std::string_view path) const {
+  if (const std::string* content = find(path)) return *content;
+  return std::nullopt;
+}
+
+const std::string* VirtualFileSystem::find(std::string_view path) const {
   auto it = files_.find(normalize_path(path));
-  if (it == files_.end()) return std::nullopt;
-  return it->second;
+  return it == files_.end() ? nullptr : &it->second;
 }
 
 const std::string& VirtualFileSystem::read_required(

@@ -43,6 +43,10 @@ class VirtualFileSystem {
   /// Reads a file; nullopt if absent.
   [[nodiscard]] std::optional<std::string> read(std::string_view path) const;
 
+  /// The stored content of a file without copying it; nullptr if absent.
+  /// Valid until the file is next written or removed.
+  [[nodiscard]] const std::string* find(std::string_view path) const;
+
   /// Reads a file that must exist; throws std::out_of_range otherwise.
   [[nodiscard]] const std::string& read_required(std::string_view path) const;
 

@@ -3,6 +3,12 @@
 // code examples verbatim.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "asm/assembler.h"
 #include "asm/expr.h"
 #include "asm/lexer.h"
@@ -623,9 +629,10 @@ TEST_F(LinkTest, TwoObjectCallAcrossFiles) {
 
   const auto* sym = image->find_symbol("Base_Init_Register");
   ASSERT_NE(sym, nullptr);
-  EXPECT_EQ(sym->defined_in, "/t/base.asm");
-  ASSERT_EQ(sym->referenced_by.size(), 1u);
-  EXPECT_EQ(sym->referenced_by[0], "/t/test1.asm");
+  EXPECT_EQ(image->object_name(sym->defined_in), "/t/base.asm");
+  ASSERT_EQ(image->referrers(*sym).size(), 1u);
+  EXPECT_EQ(image->object_name(image->referrers(*sym)[0].object),
+            "/t/test1.asm");
 
   // The LOAD's imm32 was patched with the function's linked address.
   const auto& seg = image->segments[0];
@@ -874,11 +881,187 @@ TEST_F(LinkTest, PaperFig7ThreeLayerLink) {
   const auto* wrapper = image->find_symbol("Base_Init_Register");
   const auto* es_fn = image->find_symbol("ES_Init_Register");
   ASSERT_TRUE(wrapper && es_fn);
-  ASSERT_EQ(wrapper->referenced_by.size(), 1u);
-  EXPECT_EQ(wrapper->referenced_by[0], "/env/test1/test.asm");
-  ASSERT_EQ(es_fn->referenced_by.size(), 1u);
-  EXPECT_EQ(es_fn->referenced_by[0],
+  ASSERT_EQ(image->referrers(*wrapper).size(), 1u);
+  EXPECT_EQ(image->object_name(image->referrers(*wrapper)[0].object),
+            "/env/test1/test.asm");
+  ASSERT_EQ(image->referrers(*es_fn).size(), 1u);
+  EXPECT_EQ(image->object_name(image->referrers(*es_fn)[0].object),
             "/env/Abstraction_Layer/base_functions.asm");
+}
+
+// ------------------------------------------------------- link contract ---
+// Every link diagnostic's full text and order, and the cross-reference the
+// violation checker reads. Diagnostics follow object order (then symbol or
+// relocation order within an object), never symbol-name order.
+
+TEST_F(LinkTest, OverlapDiagnosticTextIsPinned) {
+  auto a = obj("/t/a.asm", ".ORG 0x100\n_main: HALT\n");
+  auto b = obj("/t/b.asm", ".ORG 0x104\nf: HALT\n");
+  ASSERT_TRUE(a && b);
+  std::vector<ObjectFile> objects{*a, *b};
+  EXPECT_FALSE(link(objects, {}, diags_).has_value());
+  EXPECT_EQ(diags_.to_string(),
+            "error [link.overlap]: section 'code' of '/t/b.asm' overlaps "
+            "section 'code' of '/t/a.asm'\n");
+}
+
+TEST_F(LinkTest, DuplicateSymbolsAreReportedInObjectOrder) {
+  auto a = obj("/t/a.asm", "_main: HALT\nzeta: NOP\nalpha: NOP\n");
+  auto b = obj("/t/b.asm", "zeta: NOP\nalpha: NOP\n");
+  auto c = obj("/t/c.asm", "\nalpha: NOP\n");
+  ASSERT_TRUE(a && b && c);
+  std::vector<ObjectFile> objects{*a, *b, *c};
+  EXPECT_FALSE(link(objects, {}, diags_).has_value());
+  // The first definition stays the one every later duplicate names.
+  EXPECT_EQ(diags_.to_string(),
+            "/t/b.asm:1:1: error [link.duplicate-symbol]: symbol 'zeta' "
+            "defined in both '/t/a.asm' and '/t/b.asm'\n"
+            "/t/b.asm:2:1: error [link.duplicate-symbol]: symbol 'alpha' "
+            "defined in both '/t/a.asm' and '/t/b.asm'\n"
+            "/t/c.asm:2:1: error [link.duplicate-symbol]: symbol 'alpha' "
+            "defined in both '/t/a.asm' and '/t/c.asm'\n");
+}
+
+TEST_F(LinkTest, UndefinedSymbolsAreReportedInRelocationOrder) {
+  auto t = obj("/t/t.asm", "_main: CALL Zeta\n CALL Alpha\n HALT\n");
+  auto u = obj("/t/u.asm", "helper:\n CALL Beta\n RETURN\n");
+  ASSERT_TRUE(t && u);
+  std::vector<ObjectFile> objects{*t, *u};
+  EXPECT_FALSE(link(objects, {}, diags_).has_value());
+  EXPECT_EQ(diags_.to_string(),
+            "/t/t.asm:1:1: error [link.undefined-symbol]: undefined symbol "
+            "'Zeta' referenced from '/t/t.asm'\n"
+            "/t/t.asm:2:2: error [link.undefined-symbol]: undefined symbol "
+            "'Alpha' referenced from '/t/t.asm'\n"
+            "/t/u.asm:2:2: error [link.undefined-symbol]: undefined symbol "
+            "'Beta' referenced from '/t/u.asm'\n");
+}
+
+TEST_F(LinkTest, BadRelocationsAreReportedBesideUndefinedSymbols) {
+  // The assembler never emits a relocation outside its section, so the
+  // object is built by hand: one patch runs past the section's end, one
+  // names a section the object does not have, one names no symbol.
+  ObjectFile t;
+  t.name = "/t/handmade.asm";
+  t.sections.push_back({"code", std::nullopt, std::vector<std::uint8_t>(12)});
+  t.symbols.push_back({"_main", "code", 0, {t.name, 1, 1}});
+  t.relocations.push_back({"code", 10, "_main", 0, 4, {t.name, 2, 1}});
+  t.relocations.push_back({"code", 0, "Missing", 0, 4, {t.name, 3, 1}});
+  t.relocations.push_back({"data", 0, "_main", 0, 4, {t.name, 4, 1}});
+  t.relocations.push_back({"code", 8, "_main", 0, 4, {t.name, 5, 1}});
+  std::vector<ObjectFile> objects{t};
+  EXPECT_FALSE(link(objects, {}, diags_).has_value());
+  EXPECT_EQ(diags_.to_string(),
+            "/t/handmade.asm:2:1: error [link.bad-relocation]: relocation "
+            "outside section bounds in '/t/handmade.asm'\n"
+            "/t/handmade.asm:3:1: error [link.undefined-symbol]: undefined "
+            "symbol 'Missing' referenced from '/t/handmade.asm'\n"
+            "/t/handmade.asm:4:1: error [link.bad-relocation]: relocation "
+            "outside section bounds in '/t/handmade.asm'\n");
+}
+
+TEST_F(LinkTest, MissingEntryDiagnosticTextIsPinned) {
+  auto o = obj("/t/t.asm", "_main: HALT\n");
+  ASSERT_TRUE(o.has_value());
+  std::vector<ObjectFile> objects{*o};
+  LinkOptions opts;
+  opts.entry_symbol = "start";
+  EXPECT_FALSE(link(objects, opts, diags_).has_value());
+  EXPECT_EQ(diags_.to_string(),
+            "error [link.no-entry]: entry symbol 'start' not defined\n");
+}
+
+/// Symbol names of `image` in table order.
+std::vector<std::string> symbol_names(const Image& image) {
+  std::vector<std::string> names;
+  for (const LinkedSymbol& symbol : image.symbols()) {
+    names.emplace_back(image.name(symbol));
+  }
+  return names;
+}
+
+/// The objects that reference `name`, by object name, in table order.
+std::vector<std::string> referrer_names(const Image& image,
+                                        std::string_view name) {
+  std::vector<std::string> names;
+  const LinkedSymbol* symbol = image.find_symbol(name);
+  if (symbol == nullptr) return {"<no symbol>"};
+  for (const SymbolRef& ref : image.referrers(*symbol)) {
+    names.emplace_back(image.object_name(ref.object));
+  }
+  return names;
+}
+
+/// The name of the object that defines `name`.
+std::string definer(const Image& image, std::string_view name) {
+  const LinkedSymbol* symbol = image.find_symbol(name);
+  return symbol ? std::string(image.object_name(symbol->defined_in))
+                : "<no symbol>";
+}
+
+/// The cross-reference facts of the three-object link below.
+void expect_three_layer_xref(const Image& image) {
+  EXPECT_EQ(symbol_names(image),
+            (std::vector<std::string>{"Base_Init_Register", "ES_Init_Register",
+                                      "ES_Unused", "_main"}));
+  EXPECT_EQ(definer(image, "_main"), "/env/test1/test_with_a_long_name.asm");
+  EXPECT_EQ(definer(image, "Base_Init_Register"),
+            "/env/Abstraction_Layer/base_functions.asm");
+  EXPECT_EQ(definer(image, "ES_Init_Register"),
+            "/global/Embedded_Software.asm");
+  EXPECT_EQ(definer(image, "ES_Unused"), "/global/Embedded_Software.asm");
+  // One entry per referencing object, in link order, however many
+  // relocations that object carries against the symbol.
+  EXPECT_EQ(referrer_names(image, "Base_Init_Register"),
+            (std::vector<std::string>{"/env/test1/test_with_a_long_name.asm"}));
+  EXPECT_EQ(referrer_names(image, "ES_Init_Register"),
+            (std::vector<std::string>{
+                "/env/test1/test_with_a_long_name.asm",
+                "/env/Abstraction_Layer/base_functions.asm"}));
+  EXPECT_TRUE(referrer_names(image, "ES_Unused").empty());
+  EXPECT_TRUE(referrer_names(image, "_main").empty());
+  EXPECT_EQ(image.find_symbol("Nowhere"), nullptr);
+  ASSERT_EQ(image.segments.size(), 3u);
+  EXPECT_EQ(image.object_name(image.segments[0].object),
+            "/env/test1/test_with_a_long_name.asm");
+}
+
+TEST_F(LinkTest, ImageOutlivesItsObjectsAndCopiesAndMovesAsAValue) {
+  std::optional<Image> image;
+  {
+    // Objects held only for the call, by pointer, with names too long for
+    // any small-string buffer: a view into them would dangle below.
+    std::vector<std::unique_ptr<ObjectFile>> owned;
+    for (const auto& [path, source] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"/env/test1/test_with_a_long_name.asm",
+              "_main:\n CALL Base_Init_Register\n CALL Base_Init_Register\n"
+              " CALL ES_Init_Register\n HALT\n"},
+             {"/env/Abstraction_Layer/base_functions.asm",
+              "Base_Init_Register:\n CALL ES_Init_Register\n RETURN\n"},
+             {"/global/Embedded_Software.asm",
+              "ES_Init_Register: RETURN\nES_Unused: RETURN\n"}}) {
+      auto o = obj(path, source);
+      ASSERT_TRUE(o.has_value()) << diags_.to_string();
+      owned.push_back(std::make_unique<ObjectFile>(std::move(*o)));
+    }
+    std::vector<const ObjectFile*> pointers;
+    for (const auto& o : owned) pointers.push_back(o.get());
+    image = link(pointers, {}, diags_);
+    ASSERT_TRUE(image.has_value()) << diags_.to_string();
+  }
+  expect_three_layer_xref(*image);
+
+  const Image copy = *image;
+  Image moved = std::move(*image);
+  image.reset();
+  expect_three_layer_xref(copy);
+  expect_three_layer_xref(moved);
+  Image reassigned;
+  reassigned = copy;
+  expect_three_layer_xref(reassigned);
+  reassigned = std::move(moved);
+  expect_three_layer_xref(reassigned);
 }
 
 }  // namespace

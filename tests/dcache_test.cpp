@@ -409,7 +409,7 @@ TEST(BusWindows, GenerationBumpsOnEveryContentChange) {
 
   Rom rom("rom", 16);
   const auto r0 = rom.generation();
-  rom.program(0, {1, 2, 3});
+  rom.program(0, std::vector<std::uint8_t>{1, 2, 3});
   EXPECT_GT(rom.generation(), r0);
 }
 

@@ -11,11 +11,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "advm/exec/backend.h"
 #include "advm/exec/costmodel.h"
@@ -637,6 +639,90 @@ TEST(WorkerPool, WedgedWorkerTimesOutWithATypedStatus) {
   // and reports the signal, which must not wedge either.
   const Status reaped = pool.shutdown();
   EXPECT_NE(reaped.message.find("signal"), std::string::npos);
+}
+
+/// Streams `bytes` bytes of 'x' and then `tail` into `fd` in 64 KiB writes,
+/// stopping early once the reader closes its end; then closes `fd`.
+void stream_line(int fd, std::size_t bytes, std::string tail) {
+  const std::string chunk(std::size_t{64} << 10, 'x');
+  for (std::size_t sent = 0; sent < bytes; sent += chunk.size()) {
+    const std::size_t n = std::min(chunk.size(), bytes - sent);
+    if (!exec::write_all_fd(fd, std::string_view(chunk).substr(0, n))) {
+      ::close(fd);
+      return;
+    }
+  }
+  (void)exec::write_all_fd(fd, tail);
+  ::close(fd);
+}
+
+TEST(WorkerPool, ReplyReaderRejectsALineOverTheCap) {
+  // A peer that sends one line longer than the cap must not make the
+  // reader buffer it whole: the read ends with TooLong while the buffer
+  // is at most one read past the cap.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer(stream_line, fds[1], exec::kMaxReplyLineBytes + 1,
+                     std::string("\n"));
+  std::string carry;
+  std::string line;
+  const exec::LineRead result =
+      exec::read_line_deadline(fds[0], &carry, &line, 30'000);
+  ::close(fds[0]);
+  writer.join();
+  EXPECT_EQ(result, exec::LineRead::TooLong);
+  EXPECT_TRUE(line.empty());
+  EXPECT_LE(carry.size(), exec::kMaxReplyLineBytes + 4096);
+}
+
+TEST(WorkerPool, ReplyReaderAcceptsALineExactlyAtTheCap) {
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer(stream_line, fds[1], exec::kMaxReplyLineBytes,
+                     std::string("\nnext\n"));
+  std::string carry;
+  std::string line;
+  EXPECT_EQ(exec::read_line_deadline(fds[0], &carry, &line, 30'000),
+            exec::LineRead::Line);
+  EXPECT_EQ(line.size(), exec::kMaxReplyLineBytes);
+  line = std::string();
+  EXPECT_EQ(exec::read_line_deadline(fds[0], &carry, &line, 30'000),
+            exec::LineRead::Line);
+  EXPECT_EQ(line, "next");
+  ::close(fds[0]);
+  writer.join();
+}
+
+TEST(WorkerPool, OversizedReplyIsATypedBrokenRoundTrip) {
+  // A worker answering with a line over the cap gets a typed status —
+  // which the dispatcher treats like any broken round trip: retire the
+  // worker, requeue its cells — and its slot can be respawned.
+  ScratchDir scratch("oversized_reply");
+  const std::string script = scratch.path() + "/oversized.sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\nhead -c " << exec::kMaxReplyLineBytes + 1
+        << " /dev/zero | tr '\\0' x\necho\n";
+  }
+  std::filesystem::permissions(script,
+                               std::filesystem::perms::owner_all |
+                                   std::filesystem::perms::group_read |
+                                   std::filesystem::perms::others_read);
+  exec::WorkerPool pool;
+  pool.set_request_timeout_ms(60'000);
+  ASSERT_TRUE(pool.spawn(script, scratch.path(), 1).ok());
+  std::string response;
+  const Status status =
+      pool.roundtrip(0, R"({"cmd":"shutdown"})", &response);
+  EXPECT_EQ(status.code, "advm.exec-reply-too-large");
+  EXPECT_NE(status.message.find("serve worker 0: reply line longer than " +
+                                std::to_string(exec::kMaxReplyLineBytes) +
+                                " bytes"),
+            std::string::npos)
+      << status.message;
+  EXPECT_TRUE(response.empty());
+  EXPECT_TRUE(pool.respawn(0).ok());
+  (void)pool.shutdown();
 }
 
 TEST(WorkerPool, ShutdownRemovesTheStderrCaptureFiles) {

@@ -63,23 +63,34 @@ TEST(Bus, RomRejectsBusWritesButAllowsProgramBackdoor) {
   Rom* rom_ptr = rom.get();
   bus.map(0x0, std::move(rom));
   EXPECT_FALSE(bus.write8(0, 0xAA));
-  rom_ptr->program(0, {0xAA});
+  rom_ptr->program(0, std::vector<std::uint8_t>{0xAA});
   std::uint8_t b = 0;
   ASSERT_TRUE(bus.read8(0, b));
   EXPECT_EQ(b, 0xAA);
+  // The backdoor keeps what fits and drops bytes past the ROM's end; a
+  // reset clears everything it programmed.
+  rom_ptr->program(15, std::vector<std::uint8_t>{0xBB, 0xCC});
+  ASSERT_TRUE(bus.read8(15, b));
+  EXPECT_EQ(b, 0xBB);
+  rom_ptr->reset();
+  for (std::uint32_t addr : {0u, 15u}) {
+    ASSERT_TRUE(bus.read8(addr, b));
+    EXPECT_EQ(b, 0) << addr;
+  }
 }
 
 TEST(Bus, LoadBytesCrossesWindowsAndUsesRomBackdoor) {
   Bus bus;
   bus.map(0x0, std::make_unique<Rom>("rom", 4));
   bus.map(0x4, std::make_unique<Ram>("ram", 4));
-  EXPECT_TRUE(bus.load_bytes(0x2, {1, 2, 3, 4}));
+  EXPECT_TRUE(bus.load_bytes(0x2, std::vector<std::uint8_t>{1, 2, 3, 4}));
   std::uint8_t b = 0;
   ASSERT_TRUE(bus.read8(0x3, b));
   EXPECT_EQ(b, 2);
   ASSERT_TRUE(bus.read8(0x4, b));
   EXPECT_EQ(b, 3);
-  EXPECT_FALSE(bus.load_bytes(0x6, {9, 9, 9}));  // runs off the end
+  // Runs off the end.
+  EXPECT_FALSE(bus.load_bytes(0x6, std::vector<std::uint8_t>{9, 9, 9}));
 }
 
 TEST(Ram, TracksUninitializedReads) {

@@ -134,6 +134,13 @@ TEST(Vfs, WriteReadRoundTrip) {
   EXPECT_EQ(vfs.read("/env/Globals.inc"), "PAGE .EQU 8\n");
   EXPECT_FALSE(vfs.read("/env/missing").has_value());
   EXPECT_THROW((void)vfs.read_required("/env/missing"), std::out_of_range);
+  // find() is the non-copying read: the stored string itself, by any
+  // spelling of the path.
+  const std::string* stored = vfs.find("//env/./Globals.inc");
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, "PAGE .EQU 8\n");
+  EXPECT_EQ(stored, &vfs.read_required("/env/Globals.inc"));
+  EXPECT_EQ(vfs.find("/env/missing"), nullptr);
 }
 
 TEST(Vfs, ListTreeIsSortedAndScoped) {
