@@ -23,8 +23,8 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
   const std::string norm = support::normalize_path(path);
   CachedObject out;
 
-  const std::string* source = vfs.find(norm);
-  if (source == nullptr) {
+  const std::optional<std::uint64_t> source_digest = vfs.digest(norm);
+  if (!source_digest) {
     // Uncacheable (there is no content to key on); reproduce the
     // assembler's missing-file diagnostic verbatim.
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -36,11 +36,10 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
     return out;
   }
 
-  const std::uint64_t source_digest = support::hash_bytes(*source);
   const std::uint64_t options_digest = options_fingerprint(options);
   support::Fnv1a key;
   key.update(norm);
-  key.update(*source);
+  key.update(*source_digest);
   key.update(options_digest);
 
   std::shared_ptr<Entry> entry;
@@ -59,7 +58,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
     const std::lock_guard<std::mutex> lock(entry->mutex);
     entry->last_used = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
     const bool same_inputs = entry->valid && entry->path == norm &&
-                             entry->source_digest == source_digest &&
+                             entry->source_digest == *source_digest &&
                              entry->options_digest == options_digest;
     if (same_inputs &&
         deps_digest_of(vfs, entry->includes.get()) == entry->deps_digest &&
@@ -85,7 +84,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
     if (store_ != nullptr) {
       if (auto stored = store_->load(key.digest());
           stored && stored->path == norm &&
-          stored->source_digest == source_digest &&
+          stored->source_digest == *source_digest &&
           stored->options_digest == options_digest) {
         auto includes = std::make_shared<const std::vector<IncludeEdge>>(
             std::move(stored->includes));
@@ -101,7 +100,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
                   std::move(stored->probed_misses));
           entry->object_bytes = entry->object->total_bytes();
           entry->path = norm;
-          entry->source_digest = source_digest;
+          entry->source_digest = *source_digest;
           entry->options_digest = options_digest;
           entry->deps_digest = stored->deps_digest;
           entry->valid = true;
@@ -137,7 +136,7 @@ CachedObject ObjectCache::assemble(const support::VirtualFileSystem& vfs,
         entry->object_bytes = 0;
       }
       entry->path = norm;
-      entry->source_digest = source_digest;
+      entry->source_digest = *source_digest;
       entry->options_digest = options_digest;
       entry->deps_digest = deps_digest_of(vfs, entry->includes.get());
       entry->valid = true;

@@ -6,10 +6,13 @@
 // which derivative or platform the link targets. The regression runner
 // therefore needs each translation unit assembled exactly once per process,
 // not once per matrix cell. This cache keys an assembled ObjectFile by an
-// FNV-1a digest over (source path, source text, AssemblerOptions) and
-// revalidates entries against the content of every include the assembly
+// FNV-1a digest over (source path, source digest, AssemblerOptions) and
+// revalidates entries against the digest of every include the assembly
 // resolved, so `advm random` / porting-style regeneration of Globals.inc is
-// picked up while untouched sources are served without re-lexing.
+// picked up while untouched sources are served without re-lexing. Every
+// digest is the VFS's per-file one (VirtualFileSystem::digest), computed
+// once per written version of a file, so neither a miss nor a hit re-hashes
+// the source or the preludes it includes.
 //
 // The path participates in the key because ObjectFile::name (the layer
 // identity the violation checker relies on) is the source path: two files
@@ -21,7 +24,7 @@
 // keeps the hit/miss counters deterministic for any worker-pool size — a
 // property the regression report format tests rely on.
 //
-// Shadowing: revalidation re-hashes the includes recorded at build time AND
+// Shadowing: revalidation re-checks the includes recorded at build time AND
 // re-probes every include path that was *probed and missing* during the
 // build (the sibling directory and search-path candidates ahead of the one
 // that resolved). Creating a new file that shadows an include earlier in
@@ -38,7 +41,7 @@
 // src/advm/objstore.h) makes entries outlive the process. A request that
 // misses in memory probes the disk entry under the same key and adopts it
 // when every revalidation rule passes (source/options digests, include
-// contents, probed-miss shadowing) — counted as a `persistent_hit` on top
+// digests, probed-miss shadowing) — counted as a `persistent_hit` on top
 // of the in-memory miss, so the hit/miss counters keep their historical
 // meaning. Successful builds are published to disk with atomic renames, so
 // concurrent shard workers can share one cache directory. The byte budget
@@ -117,7 +120,7 @@ class ObjectCache {
     return store_.get();
   }
 
-  /// Returns the object for (path, current source text, options), assembling
+  /// Returns the object for (path, current source digest, options), assembling
   /// it at most once until an input changes. Failed assemblies are cached
   /// too (their diagnostic text is as deterministic as the object would be).
   [[nodiscard]] CachedObject assemble(const support::VirtualFileSystem& vfs,
@@ -136,9 +139,8 @@ class ObjectCache {
     std::mutex mutex;
     bool valid = false;
     // Key material re-verified on every hit: the map key is a bare 64-bit
-    // FNV digest, and a verification tool must not serve the wrong object
-    // on a digest collision. Path + an independent source digest make an
-    // undetected collision require three simultaneous matches.
+    // FNV digest of these three, and a verification tool must not serve the
+    // wrong object when two different inputs collide on it.
     std::string path;
     std::uint64_t source_digest = 0;
     std::uint64_t options_digest = 0;

@@ -23,7 +23,10 @@ using assembler::Relocation;
 
 namespace {
 
-constexpr char kMagic[8] = {'A', 'D', 'V', 'M', 'O', 'B', 'J', '1'};
+// The last magic byte is the format version. Version 2 entries are keyed
+// on the source digest and carry a deps_digest over (path, file digest)
+// pairs; an entry of any other version loads as a miss and is rebuilt.
+constexpr char kMagic[8] = {'A', 'D', 'V', 'M', 'O', 'B', 'J', '2'};
 constexpr std::size_t kEntryCap = 64u << 20;  ///< sanity bound per field
 
 void put_u32(std::string& out, std::uint32_t v) {

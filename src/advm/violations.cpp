@@ -57,7 +57,7 @@ void scan_source(const std::string& path, const std::string& source,
         tokens.size() > 2 && tokens[1].is_ident() &&
         is_global_layer_file(tokens[1].text)) {
       report.violations.push_back(
-          {"advm.global-include", path, tokens[1].loc,
+          {"advm.global-include", path, tokens[1].loc_in(path),
            "test includes global-layer file '" + tokens[1].text +
                "' directly"});
     }
@@ -66,7 +66,7 @@ void scan_source(const std::string& path, const std::string& source,
     for (const Token& tok : tokens) {
       if (tok.kind == TokenKind::Number && tok.value >= kMagicThreshold) {
         report.violations.push_back(
-            {"advm.hardwired-magic", path, tok.loc,
+            {"advm.hardwired-magic", path, tok.loc_in(path),
              "hardwired value " + tok.text});
       }
     }
@@ -96,7 +96,7 @@ void scan_source(const std::string& path, const std::string& source,
           if (operand == pos_operand &&
               tokens[i].kind == TokenKind::Number) {
             report.violations.push_back(
-                {"advm.hardwired-field", path, tokens[i].loc,
+                {"advm.hardwired-field", path, tokens[i].loc_in(path),
                  "bit position '" + tokens[i].text +
                      "' hardwired instead of a field define"});
             break;

@@ -49,8 +49,8 @@ class Assembler::Impl {
 
   std::optional<AssembleResult> assemble_file(std::string_view path) {
     std::string norm = support::normalize_path(path);
-    auto content = vfs_.read(norm);
-    if (!content) {
+    const std::string* content = vfs_.find(norm);
+    if (content == nullptr) {
       diags_.error("asm.no-such-file", "cannot open '" + norm + "'");
       return std::nullopt;
     }
@@ -59,7 +59,7 @@ class Assembler::Impl {
 
   std::optional<AssembleResult> assemble_source(std::string_view name,
                                                 std::string_view source) {
-    return run(std::string(name), std::string(source));
+    return run(std::string(name), source);
   }
 
   [[nodiscard]] const std::vector<IncludeEdge>& last_includes() const {
@@ -73,7 +73,7 @@ class Assembler::Impl {
  private:
   // --------------------------------------------------------------- driver --
   std::optional<AssembleResult> run(const std::string& name,
-                                    const std::string& source) {
+                                    std::string_view source) {
     reset(name);
     const std::size_t errors_before = diags_.error_count();
 
@@ -126,6 +126,29 @@ class Assembler::Impl {
   }
 
   // ----------------------------------------------------------- line logic --
+  /// The position of a token of the line being processed.
+  [[nodiscard]] SourceLoc loc_of(const Token& tok) const {
+    return tok.loc_in(*file_);
+  }
+
+  /// Makes `file` the file of the lines processed in this scope and
+  /// restores the enclosing line's file on exit (includes and macro
+  /// expansions process other files' lines).
+  class FileScope {
+   public:
+    FileScope(const std::string*& slot, const std::string& file)
+        : slot_(slot), saved_(slot) {
+      slot_ = &file;
+    }
+    FileScope(const FileScope&) = delete;
+    FileScope& operator=(const FileScope&) = delete;
+    ~FileScope() { slot_ = saved_; }
+
+   private:
+    const std::string*& slot_;
+    const std::string* saved_;
+  };
+
   void process_line(const std::string& file, std::uint32_t line_no,
                     std::string_view text) {
     // Macro body collection intercepts everything except .ENDM / nested defs.
@@ -146,12 +169,21 @@ class Assembler::Impl {
       return;
     }
 
+    const FileScope scope(file_, file);
     std::vector<Token> tokens = lex_line(text, file, line_no, diags_);
     process_token_line(tokens, text);
   }
 
   // -------------------------------------------------------------- defines --
+  [[nodiscard]] bool names_a_define(const std::vector<Token>& tokens) const {
+    if (defines_.empty()) return false;
+    return std::any_of(tokens.begin(), tokens.end(), [&](const Token& tok) {
+      return tok.is_ident() && defines_.find(tok.text) != defines_.end();
+    });
+  }
+
   void expand_defines(std::vector<Token>& tokens) {
+    if (!names_a_define(tokens)) return;
     for (std::size_t depth = 0; depth < kMaxDefineExpansionDepth; ++depth) {
       bool changed = false;
       std::vector<Token> out;
@@ -161,7 +193,8 @@ class Assembler::Impl {
           auto it = defines_.find(tok.text);
           if (it != defines_.end()) {
             for (Token replacement : it->second) {
-              replacement.loc = tok.loc;  // report at use site
+              replacement.line = tok.line;  // report at use site
+              replacement.column = tok.column;
               out.push_back(std::move(replacement));
             }
             changed = true;
@@ -175,18 +208,19 @@ class Assembler::Impl {
     }
     diags_.error("asm.define-recursion",
                  "recursive .DEFINE expansion exceeds depth limit",
-                 tokens.empty() ? SourceLoc{} : tokens.front().loc);
+                 tokens.empty() ? SourceLoc{} : loc_of(tokens.front()));
   }
 
   void handle_define(const std::vector<Token>& tokens) {
     if (tokens.size() < 3 || !tokens[1].is_ident()) {
       diags_.error("asm.bad-define", ".DEFINE requires a name and a body",
-                   tokens[0].loc);
+                   loc_of(tokens[0]));
       return;
     }
     std::vector<Token> body(tokens.begin() + 2, tokens.end() - 1);  // drop EOL
     if (body.empty()) {
-      diags_.error("asm.bad-define", ".DEFINE body is empty", tokens[1].loc);
+      diags_.error("asm.bad-define", ".DEFINE body is empty",
+                   loc_of(tokens[1]));
       return;
     }
     defines_[tokens[1].text] = std::move(body);
@@ -198,11 +232,11 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor,
                                 tokens.size() - cursor);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = eval_absolute(rest, consumed);
     if (!value) return;
     if (!rest[consumed].is_eol()) {
       diags_.error("asm.trailing-tokens", "unexpected tokens after .EQU value",
-                   rest[consumed].loc);
+                   loc_of(rest[consumed]));
       return;
     }
     // Redefinition with the *same* value is tolerated (a file included twice
@@ -212,7 +246,7 @@ class Assembler::Impl {
     if (!inserted && it->second != *value) {
       diags_.error("asm.equ-redefined",
                    "'" + name + "' .EQU redefined with a different value",
-                   tokens[0].loc);
+                   loc_of(tokens[0]));
     }
   }
 
@@ -234,7 +268,7 @@ class Assembler::Impl {
     expand_defines(tokens);
     std::span<const Token> rest(tokens.data() + 1, tokens.size() - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = eval_absolute(rest, consumed);
     frame.active = value.value_or(0) != 0;
     frame.taken = frame.active;
     cond_stack_.push_back(frame);
@@ -250,7 +284,7 @@ class Assembler::Impl {
     }
     if (tokens.size() < 3 || !tokens[1].is_ident()) {
       diags_.error("asm.bad-ifdef", ".IFDEF/.IFNDEF require a symbol name",
-                   tokens[0].loc);
+                   loc_of(tokens[0]));
       cond_stack_.push_back(CondFrame{false, true, false});
       return;
     }
@@ -264,13 +298,14 @@ class Assembler::Impl {
 
   void handle_else(const std::vector<Token>& tokens) {
     if (cond_stack_.empty()) {
-      diags_.error("asm.unmatched-else", ".ELSE without .IF", tokens[0].loc);
+      diags_.error("asm.unmatched-else", ".ELSE without .IF",
+                   loc_of(tokens[0]));
       return;
     }
     CondFrame& frame = cond_stack_.back();
     if (frame.seen_else) {
       diags_.error("asm.duplicate-else", "second .ELSE for the same .IF",
-                   tokens[0].loc);
+                   loc_of(tokens[0]));
       return;
     }
     frame.seen_else = true;
@@ -287,7 +322,7 @@ class Assembler::Impl {
   void handle_endif(const std::vector<Token>& tokens) {
     if (cond_stack_.empty()) {
       diags_.error("asm.unmatched-endif", ".ENDIF without .IF",
-                   tokens[0].loc);
+                   loc_of(tokens[0]));
       return;
     }
     cond_stack_.pop_back();
@@ -296,7 +331,8 @@ class Assembler::Impl {
   // ----------------------------------------------------------------- macros --
   void handle_macro_start(const std::vector<Token>& tokens) {
     if (tokens.size() < 3 || !tokens[1].is_ident()) {
-      diags_.error("asm.bad-macro", ".MACRO requires a name", tokens[0].loc);
+      diags_.error("asm.bad-macro", ".MACRO requires a name",
+                   loc_of(tokens[0]));
       return;
     }
     collecting_name_ = tokens[1].text;
@@ -305,7 +341,7 @@ class Assembler::Impl {
     while (!tokens[cursor].is_eol()) {
       if (!tokens[cursor].is_ident()) {
         diags_.error("asm.bad-macro-param", "macro parameter must be a name",
-                     tokens[cursor].loc);
+                     loc_of(tokens[cursor]));
         return;
       }
       collecting_body_.params.push_back(tokens[cursor].text);
@@ -353,6 +389,7 @@ class Assembler::Impl {
     const std::size_t instance = ++macro_instance_;
     ++macro_depth_;
     for (const MacroLine& body_line : macro.lines) {
+      const FileScope scope(file_, body_line.file);
       std::vector<Token> line_tokens =
           lex_line(body_line.text, body_line.file, body_line.line, diags_);
       substitute_macro_tokens(line_tokens, macro.params, args, instance);
@@ -404,7 +441,7 @@ class Assembler::Impl {
     if (!tokens[cursor].is_ident()) {
       diags_.error("asm.expected-statement",
                    "expected mnemonic, directive or label",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     if (cursor + 1 < tokens.size() && tokens[cursor + 1].is_ident() &&
@@ -422,12 +459,12 @@ class Assembler::Impl {
       return;
     }
     if (macros_.count(head.text) != 0) {
-      expand_macro(head.text, tokens, cursor + 1, head.loc);
+      expand_macro(head.text, tokens, cursor + 1, loc_of(head));
       return;
     }
     diags_.error("asm.unknown-mnemonic",
                  "unknown mnemonic or directive '" + head.text + "'",
-                 head.loc);
+                 loc_of(head));
   }
 
   static void substitute_macro_tokens(std::vector<Token>& tokens,
@@ -443,7 +480,8 @@ class Assembler::Impl {
         for (std::size_t p = 0; p < params.size(); ++p) {
           if (tok.text == params[p]) {
             for (Token arg_tok : args[p]) {
-              arg_tok.loc = tok.loc;
+              arg_tok.line = tok.line;
+              arg_tok.column = tok.column;
               out.push_back(std::move(arg_tok));
             }
             substituted = true;
@@ -477,7 +515,7 @@ class Assembler::Impl {
     for (const auto& sym : object_.symbols) {
       if (sym.name == name) {
         diags_.error("asm.duplicate-label",
-                     "label '" + tok.text + "' already defined", tok.loc);
+                     "label '" + tok.text + "' already defined", loc_of(tok));
         return;
       }
     }
@@ -485,7 +523,7 @@ class Assembler::Impl {
     sym.name = std::move(name);
     sym.section = current().name;
     sym.offset = static_cast<std::uint32_t>(current().bytes.size());
-    sym.loc = tok.loc;
+    sym.loc = loc_of(tok);
     object_.symbols.push_back(std::move(sym));
   }
 
@@ -499,7 +537,7 @@ class Assembler::Impl {
     if (upper == ".EQU") {
       // Directive-first form: .EQU NAME, expr
       if (cursor + 1 >= tokens.size() || !tokens[cursor + 1].is_ident()) {
-        diags_.error("asm.bad-equ", ".EQU requires a name", head.loc);
+        diags_.error("asm.bad-equ", ".EQU requires a name", loc_of(head));
         return;
       }
       std::size_t value_at = cursor + 2;
@@ -525,18 +563,18 @@ class Assembler::Impl {
         msg = tokens[cursor + 1].text;
       }
       if (upper == ".ERROR") {
-        diags_.error("asm.user-error", msg, head.loc);
+        diags_.error("asm.user-error", msg, loc_of(head));
       } else {
-        diags_.warning("asm.user-warning", msg, head.loc);
+        diags_.warning("asm.user-warning", msg, loc_of(head));
       }
       return;
     }
     if (upper == ".ENDM") {
-      diags_.error("asm.unmatched-endm", ".ENDM without .MACRO", head.loc);
+      diags_.error("asm.unmatched-endm", ".ENDM without .MACRO", loc_of(head));
       return;
     }
     diags_.error("asm.unknown-directive",
-                 "unknown directive '" + head.text + "'", head.loc);
+                 "unknown directive '" + head.text + "'", loc_of(head));
   }
 
   void handle_include(const std::vector<Token>& tokens, std::size_t cursor) {
@@ -544,13 +582,13 @@ class Assembler::Impl {
         (!tokens[cursor + 1].is_ident() &&
          tokens[cursor + 1].kind != TokenKind::String)) {
       diags_.error("asm.bad-include", ".INCLUDE requires a file name",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     const Token& name_tok = tokens[cursor + 1];
     if (include_stack_.size() >= options_.max_include_depth) {
       diags_.error("asm.include-depth", "includes nested too deeply",
-                   name_tok.loc);
+                   loc_of(name_tok));
       return;
     }
 
@@ -561,19 +599,19 @@ class Assembler::Impl {
     if (!resolved) {
       diags_.error("asm.include-not-found",
                    "cannot find include file '" + name_tok.text + "'",
-                   name_tok.loc);
+                   loc_of(name_tok));
       return;
     }
     for (const auto& open_file : include_stack_) {
       if (open_file == *resolved) {
         diags_.error("asm.include-cycle",
                      "include cycle through '" + *resolved + "'",
-                     name_tok.loc);
+                     loc_of(name_tok));
         return;
       }
     }
 
-    includes_.push_back(IncludeEdge{current_file, *resolved, name_tok.loc});
+    includes_.push_back(IncludeEdge{current_file, *resolved, loc_of(name_tok)});
     const std::string& content = vfs_.read_required(*resolved);
     if (memo_ != nullptr && at_reset_state()) {
       return include_prelude(*resolved, content);
@@ -607,7 +645,7 @@ class Assembler::Impl {
   /// left behind if it only defined names (no diagnostics, no output, no
   /// open .IF or .MACRO).
   void include_prelude(const std::string& path, const std::string& content) {
-    if (auto prelude = memo_->lookup(vfs_, path, options_digest_, content)) {
+    if (auto prelude = memo_->lookup(vfs_, path, options_digest_)) {
       equates_ = prelude->equates;
       defines_ = prelude->defines;
       macros_ = prelude->macros;
@@ -635,7 +673,7 @@ class Assembler::Impl {
                              includes_.end());
     prelude->probed_misses.assign(probed_misses_.begin() + probes_before,
                                   probed_misses_.end());
-    prelude->file_digest = support::hash_bytes(content);
+    prelude->file_digest = vfs_.digest(path).value();
     prelude->deps_digest = deps_digest_of(vfs_, &prelude->includes);
     memo_->record(path, options_digest_, std::move(prelude));
   }
@@ -672,13 +710,13 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor + 1,
                                 tokens.size() - cursor - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = eval_absolute(rest, consumed);
     if (!value) return;
     ObjSection& sec = current();
     if (!sec.bytes.empty()) {
       diags_.error("asm.org-after-bytes",
                    ".ORG must precede any emitted bytes in a section",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     sec.org = static_cast<std::uint32_t>(*value);
@@ -687,7 +725,7 @@ class Assembler::Impl {
   void handle_section(const std::vector<Token>& tokens, std::size_t cursor) {
     if (cursor + 1 >= tokens.size() || !tokens[cursor + 1].is_ident()) {
       diags_.error("asm.bad-section", ".SECTION requires a name",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     const std::string& name = tokens[cursor + 1].text;
@@ -705,11 +743,11 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor + 1,
                                 tokens.size() - cursor - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = eval_absolute(rest, consumed);
     if (!value) return;
     if (*value <= 0 || *value > 4096) {
       diags_.error("asm.bad-align", "alignment must be in 1..4096",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     auto align = static_cast<std::size_t>(*value);
@@ -722,11 +760,11 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor + 1,
                                 tokens.size() - cursor - 1);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = eval_absolute(rest, consumed);
     if (!value) return;
     if (*value < 0 || *value > (1 << 24)) {
       diags_.error("asm.bad-space", ".SPACE size out of range",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     current().bytes.insert(current().bytes.end(),
@@ -748,10 +786,10 @@ class Assembler::Impl {
         std::size_t consumed = 0;
         EvalOptions opts;
         opts.allow_forward_refs = (size == 4);
-        auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+        auto value = eval_expr(rest, consumed, opts);
         if (!value) return;
         i += consumed;
-        emit_value(*value, size, tokens[cursor].loc);
+        emit_value(*value, size, loc_of(tokens[cursor]));
       }
       if (i < tokens.size() && tokens[i].is_punct(",")) ++i;
     }
@@ -763,7 +801,7 @@ class Assembler::Impl {
     if (cursor + 1 >= tokens.size() ||
         tokens[cursor + 1].kind != TokenKind::String) {
       diags_.error("asm.bad-ascii", ".ASCII/.ASCIIZ require a string",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
     for (char c : tokens[cursor + 1].text) {
@@ -801,10 +839,21 @@ class Assembler::Impl {
   // ------------------------------------------------------------ instructions --
   SymbolLookup lookup_fn() {
     return [this](std::string_view name) -> std::optional<ExprValue> {
-      auto it = equates_.find(std::string(name));
+      auto it = equates_.find(name);
       if (it != equates_.end()) return ExprValue::absolute(it->second);
       return std::nullopt;
     };
+  }
+
+  /// evaluate_expr / evaluate_absolute over a span of the current line.
+  std::optional<ExprValue> eval_expr(std::span<const Token> rest,
+                                     std::size_t& consumed,
+                                     const EvalOptions& opts) {
+    return evaluate_expr(rest, *file_, consumed, lookup_fn(), opts, diags_);
+  }
+  std::optional<std::int64_t> eval_absolute(std::span<const Token> rest,
+                                            std::size_t& consumed) {
+    return evaluate_absolute(rest, *file_, consumed, lookup_fn(), diags_);
   }
 
   /// Parses the flexible source operand: register / immediate-expression /
@@ -832,20 +881,19 @@ class Assembler::Impl {
                                         tokens.size() - cursor);
             std::size_t consumed = 0;
             EvalOptions opts;  // offsets must be absolute
-            auto value =
-                evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+            auto value = eval_expr(rest, consumed, opts);
             if (!value) return std::nullopt;
             cursor += consumed;
             if (!tokens[cursor].is_punct("]")) {
               diags_.error("asm.expected-bracket", "expected ']'",
-                           tokens[cursor].loc);
+                           loc_of(tokens[cursor]));
               return std::nullopt;
             }
             ++cursor;
             if (!value->is_absolute()) {
               diags_.error("asm.reloc-offset",
                            "indirect offsets must be absolute",
-                           t.loc);
+                           loc_of(t));
               return std::nullopt;
             }
             src.mode = AddrMode::RegIndirectOff;
@@ -855,7 +903,7 @@ class Assembler::Impl {
           }
           diags_.error("asm.indirect-needs-areg",
                        "indirect addressing requires an address register",
-                       tokens[cursor].loc);
+                       loc_of(tokens[cursor]));
           return std::nullopt;
         }
       }
@@ -865,12 +913,12 @@ class Assembler::Impl {
       std::size_t consumed = 0;
       EvalOptions opts;
       opts.allow_forward_refs = true;
-      auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+      auto value = eval_expr(rest, consumed, opts);
       if (!value) return std::nullopt;
       cursor += consumed;
       if (!tokens[cursor].is_punct("]")) {
         diags_.error("asm.expected-bracket", "expected ']'",
-                     tokens[cursor].loc);
+                     loc_of(tokens[cursor]));
         return std::nullopt;
       }
       ++cursor;
@@ -893,7 +941,7 @@ class Assembler::Impl {
     std::size_t consumed = 0;
     EvalOptions opts;
     opts.allow_forward_refs = true;
-    auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+    auto value = eval_expr(rest, consumed, opts);
     if (!value) return std::nullopt;
     cursor += consumed;
     src.mode = AddrMode::Immediate;
@@ -911,7 +959,7 @@ class Assembler::Impl {
       }
     }
     diags_.error("asm.expected-register",
-                 "expected a register (d0..d15 / a0..a15)", t.loc);
+                 "expected a register (d0..d15 / a0..a15)", loc_of(t));
     return std::nullopt;
   }
 
@@ -920,7 +968,7 @@ class Assembler::Impl {
       ++cursor;
       return true;
     }
-    diags_.error("asm.expected-comma", "expected ','", tokens[cursor].loc);
+    diags_.error("asm.expected-comma", "expected ','", loc_of(tokens[cursor]));
     return false;
   }
 
@@ -929,7 +977,7 @@ class Assembler::Impl {
     std::span<const Token> rest(tokens.data() + cursor,
                                 tokens.size() - cursor);
     std::size_t consumed = 0;
-    auto value = evaluate_absolute(rest, consumed, lookup_fn(), diags_);
+    auto value = eval_absolute(rest, consumed);
     if (!value) return std::nullopt;
     cursor += consumed;
     return value;
@@ -939,7 +987,7 @@ class Assembler::Impl {
                          const std::vector<Token>& tokens, std::size_t cursor,
                          std::string_view source_text) {
     const isa::OpcodeInfo& info = isa::opcode_info(mm.op);
-    const SourceLoc loc = tokens.empty() ? SourceLoc{} : tokens[0].loc;
+    const SourceLoc loc = tokens.empty() ? SourceLoc{} : loc_of(tokens[0]);
 
     Instruction instr;
     instr.op = mm.op;
@@ -1133,7 +1181,7 @@ class Assembler::Impl {
             diags_.error("asm.target-areg",
                          "indirect jump/call target must be an address "
                          "register",
-                         tokens[cursor].loc);
+                         loc_of(tokens[cursor]));
             return;
           }
         }
@@ -1142,7 +1190,7 @@ class Assembler::Impl {
         std::size_t consumed = 0;
         EvalOptions opts;
         opts.allow_forward_refs = true;
-        auto value = evaluate_expr(rest, consumed, lookup_fn(), opts, diags_);
+        auto value = eval_expr(rest, consumed, opts);
         if (!value) return;
         cursor += consumed;
         use_value(*value);
@@ -1165,14 +1213,14 @@ class Assembler::Impl {
         if (!rc || !expect_comma(tokens, cursor)) return;
         if (!tokens[cursor].is_ident()) {
           diags_.error("asm.expected-crname", "expected core register name",
-                       tokens[cursor].loc);
+                       loc_of(tokens[cursor]));
           return;
         }
         auto cr = isa::parse_core_reg(tokens[cursor].text);
         if (!cr) {
           diags_.error("asm.bad-crname",
                        "unknown core register '" + tokens[cursor].text + "'",
-                       tokens[cursor].loc);
+                       loc_of(tokens[cursor]));
           return;
         }
         ++cursor;
@@ -1184,14 +1232,14 @@ class Assembler::Impl {
       case OperandPattern::CrRa: {
         if (!tokens[cursor].is_ident()) {
           diags_.error("asm.expected-crname", "expected core register name",
-                       tokens[cursor].loc);
+                       loc_of(tokens[cursor]));
           return;
         }
         auto cr = isa::parse_core_reg(tokens[cursor].text);
         if (!cr) {
           diags_.error("asm.bad-crname",
                        "unknown core register '" + tokens[cursor].text + "'",
-                       tokens[cursor].loc);
+                       loc_of(tokens[cursor]));
           return;
         }
         ++cursor;
@@ -1207,7 +1255,7 @@ class Assembler::Impl {
     if (!tokens[cursor].is_eol()) {
       diags_.error("asm.trailing-tokens",
                    "unexpected tokens after instruction operands",
-                   tokens[cursor].loc);
+                   loc_of(tokens[cursor]));
       return;
     }
 
@@ -1268,6 +1316,8 @@ class Assembler::Impl {
   AssemblerOptions options_;
   IncludeMemo* memo_ = nullptr;  ///< null: every include is processed
   std::uint64_t options_digest_ = 0;
+  /// File of the line being processed; names its tokens in diagnostics.
+  const std::string* file_ = nullptr;
 
   ObjectFile object_;
   std::vector<IncludeEdge> includes_;

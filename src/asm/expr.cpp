@@ -9,9 +9,14 @@ namespace {
 /// Recursive-descent evaluator with precedence climbing.
 class Evaluator {
  public:
-  Evaluator(std::span<const Token> tokens, const SymbolLookup& lookup,
-            const EvalOptions& options, support::DiagnosticEngine& diags)
-      : tokens_(tokens), lookup_(lookup), options_(options), diags_(diags) {}
+  Evaluator(std::span<const Token> tokens, const std::string& file,
+            const SymbolLookup& lookup, const EvalOptions& options,
+            support::DiagnosticEngine& diags)
+      : tokens_(tokens),
+        file_(file),
+        lookup_(lookup),
+        options_(options),
+        diags_(diags) {}
 
   std::optional<ExprValue> run(std::size_t& consumed) {
     auto v = parse_or();
@@ -21,7 +26,7 @@ class Evaluator {
 
  private:
   const Token& peek() const {
-    static const Token eol{TokenKind::EndOfLine, "", 0, {}};
+    static const Token eol{TokenKind::EndOfLine, "", 0, 0, 0};
     return pos_ < tokens_.size() ? tokens_[pos_] : eol;
   }
   const Token& advance() {
@@ -39,7 +44,8 @@ class Evaluator {
 
   void error(std::string message) {
     if (!errored_) {
-      diags_.error("asm.bad-expression", std::move(message), peek().loc);
+      diags_.error("asm.bad-expression", std::move(message),
+                   peek().loc_in(file_));
       errored_ = true;
     }
   }
@@ -299,7 +305,7 @@ class Evaluator {
       diags_.error("asm.undefined-symbol",
                    "undefined symbol '" + t.text +
                        "' (forward references are not allowed here)",
-                   t.loc);
+                   t.loc_in(file_));
       errored_ = true;
       return std::nullopt;
     }
@@ -308,6 +314,7 @@ class Evaluator {
   }
 
   std::span<const Token> tokens_;
+  const std::string& file_;
   const SymbolLookup& lookup_;
   const EvalOptions& options_;
   support::DiagnosticEngine& diags_;
@@ -318,25 +325,28 @@ class Evaluator {
 }  // namespace
 
 std::optional<ExprValue> evaluate_expr(std::span<const Token> tokens,
+                                       const std::string& file,
                                        std::size_t& consumed,
                                        const SymbolLookup& lookup,
                                        const EvalOptions& options,
                                        support::DiagnosticEngine& diags) {
-  Evaluator ev(tokens, lookup, options, diags);
+  Evaluator ev(tokens, file, lookup, options, diags);
   return ev.run(consumed);
 }
 
 std::optional<std::int64_t> evaluate_absolute(
-    std::span<const Token> tokens, std::size_t& consumed,
-    const SymbolLookup& lookup, support::DiagnosticEngine& diags) {
+    std::span<const Token> tokens, const std::string& file,
+    std::size_t& consumed, const SymbolLookup& lookup,
+    support::DiagnosticEngine& diags) {
   EvalOptions options;  // no forward refs
-  auto v = evaluate_expr(tokens, consumed, lookup, options, diags);
+  auto v = evaluate_expr(tokens, file, consumed, lookup, options, diags);
   if (!v) return std::nullopt;
   if (!v->is_absolute()) {
     diags.error("asm.not-absolute",
                 "expression must be absolute but references label '" +
                     v->symbol + "'",
-                tokens.empty() ? support::SourceLoc{} : tokens.front().loc);
+                tokens.empty() ? support::SourceLoc{}
+                               : tokens.front().loc_in(file));
     return std::nullopt;
   }
   return v->constant;

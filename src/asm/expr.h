@@ -56,17 +56,19 @@ struct EvalOptions {
 };
 
 /// Evaluates the token range [begin, end-of-tokens or first unconsumable
-/// token]. On success returns the value and sets `consumed` to the number of
-/// tokens used. On failure reports a diagnostic and returns nullopt.
+/// token] of a line of `file` (which names the line in diagnostics). On
+/// success returns the value and sets `consumed` to the number of tokens
+/// used. On failure reports a diagnostic and returns nullopt.
 [[nodiscard]] std::optional<ExprValue> evaluate_expr(
-    std::span<const Token> tokens, std::size_t& consumed,
-    const SymbolLookup& lookup, const EvalOptions& options,
-    support::DiagnosticEngine& diags);
+    std::span<const Token> tokens, const std::string& file,
+    std::size_t& consumed, const SymbolLookup& lookup,
+    const EvalOptions& options, support::DiagnosticEngine& diags);
 
 /// Convenience: evaluates and requires that the whole span (up to EOL) is an
 /// absolute value.
 [[nodiscard]] std::optional<std::int64_t> evaluate_absolute(
-    std::span<const Token> tokens, std::size_t& consumed,
-    const SymbolLookup& lookup, support::DiagnosticEngine& diags);
+    std::span<const Token> tokens, const std::string& file,
+    std::size_t& consumed, const SymbolLookup& lookup,
+    support::DiagnosticEngine& diags);
 
 }  // namespace advm::assembler

@@ -25,8 +25,8 @@ std::uint64_t deps_digest_of(const support::VirtualFileSystem& vfs,
   if (includes == nullptr) return h.digest();
   for (const IncludeEdge& edge : *includes) {
     h.update(edge.to_file);
-    if (const std::string* content = vfs.find(edge.to_file)) {
-      h.update(*content);
+    if (const auto digest = vfs.digest(edge.to_file)) {
+      h.update(*digest);
     } else {
       h.update(std::uint64_t{0xdeadULL});  // absent ≠ empty
     }
@@ -45,7 +45,7 @@ bool probed_misses_still_missing(const support::VirtualFileSystem& vfs,
 
 std::shared_ptr<const IncludePrelude> IncludeMemo::lookup(
     const support::VirtualFileSystem& vfs, const std::string& path,
-    std::uint64_t options_digest, std::string_view content) {
+    std::uint64_t options_digest) {
   std::shared_ptr<const IncludePrelude> prelude;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -53,7 +53,7 @@ std::shared_ptr<const IncludePrelude> IncludeMemo::lookup(
     if (it == entries_.end()) return nullptr;
     prelude = it->second;
   }
-  if (support::hash_bytes(content) != prelude->file_digest ||
+  if (vfs.digest(path) != prelude->file_digest ||
       deps_digest_of(vfs, &prelude->includes) != prelude->deps_digest ||
       !probed_misses_still_missing(vfs, &prelude->probed_misses)) {
     return nullptr;

@@ -41,9 +41,10 @@ namespace advm::assembler {
 /// assembly's output (include path order, predefines, limits).
 [[nodiscard]] std::uint64_t options_fingerprint(const AssemblerOptions& options);
 
-/// Digest over the current content of every include an assembly resolved.
-/// A regenerated Globals.inc (porting, `advm random`) changes this, and so
-/// does a vanished include.
+/// Digest over (path, content digest) of every include an assembly
+/// resolved, read from the VFS's per-file digests so no content is hashed
+/// again. A regenerated Globals.inc (porting, `advm random`) changes this,
+/// and so does a vanished include.
 [[nodiscard]] std::uint64_t deps_digest_of(
     const support::VirtualFileSystem& vfs,
     const std::vector<IncludeEdge>* includes);
@@ -82,7 +83,7 @@ struct IncludePrelude {
   /// the unmemoized assembly appends them.
   std::vector<IncludeEdge> includes;
   std::vector<std::string> probed_misses;
-  std::uint64_t file_digest = 0;  ///< content of the included file itself
+  std::uint64_t file_digest = 0;  ///< VFS digest of the included file
   std::uint64_t deps_digest = 0;  ///< deps_digest_of(`includes`)
 };
 
@@ -97,11 +98,10 @@ struct IncludeMemoStats {
 class IncludeMemo {
  public:
   /// The record for `path` under `options_digest`, or null when there is
-  /// none or it no longer matches the VFS (`content` is the included
-  /// file's current text).
+  /// none or it no longer matches the VFS.
   [[nodiscard]] std::shared_ptr<const IncludePrelude> lookup(
       const support::VirtualFileSystem& vfs, const std::string& path,
-      std::uint64_t options_digest, std::string_view content);
+      std::uint64_t options_digest);
 
   /// Publishes (or replaces) the record for `path` under `options_digest`.
   void record(const std::string& path, std::uint64_t options_digest,

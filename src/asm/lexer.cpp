@@ -37,8 +37,8 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
   std::vector<Token> out;
   std::size_t i = 0;
 
-  auto loc_at = [&](std::size_t col) {
-    return support::SourceLoc{file, line, static_cast<std::uint32_t>(col + 1)};
+  auto column_at = [](std::size_t col) {
+    return static_cast<std::uint32_t>(col + 1);
   };
 
   while (i < text.size()) {
@@ -52,11 +52,13 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
     if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') break;
 
     Token tok;
-    tok.loc = loc_at(i);
+    tok.line = line;
+    tok.column = column_at(i);
 
     if (std::isdigit(static_cast<unsigned char>(c))) {
       if (!lex_number(text, i, tok)) {
-        diags.error("asm.bad-number", "malformed numeric literal", tok.loc);
+        diags.error("asm.bad-number", "malformed numeric literal",
+                    tok.loc_in(file));
         // Skip the bad blob and continue lexing the line.
         while (i < text.size() &&
                (std::isalnum(static_cast<unsigned char>(text[i])) ||
@@ -79,7 +81,7 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
         continue;
       }
       diags.error("asm.bad-char-literal", "malformed character literal",
-                  tok.loc);
+                  tok.loc_in(file));
       ++i;
       continue;
     }
@@ -99,7 +101,7 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       while (i < text.size() && text[i] != '"') ++i;
       if (i >= text.size()) {
         diags.error("asm.unterminated-string", "unterminated string literal",
-                    tok.loc);
+                    tok.loc_in(file));
         break;
       }
       tok.kind = TokenKind::String;
@@ -123,7 +125,7 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
             "0x" + std::string(text.substr(i + 1, j - i - 1)));
         if (!parsed) {  // wider than 64 bits
           diags.error("asm.bad-number", "hex literal wider than 64 bits",
-                      tok.loc);
+                      tok.loc_in(file));
           i = j;
           continue;
         }
@@ -152,8 +154,8 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
       }
       if (!after_value && all_binary && j > i + 1) {
         if (j - i - 1 > 64) {
-          diags.error("asm.bad-number",
-                      "binary literal wider than 64 bits", tok.loc);
+          diags.error("asm.bad-number", "binary literal wider than 64 bits",
+                      tok.loc_in(file));
           i = j;
           continue;
         }
@@ -198,13 +200,14 @@ std::vector<Token> lex_line(std::string_view text, const std::string& file,
 
     diags.error("asm.stray-character",
                 std::string("stray character '") + c + "' in source",
-                tok.loc);
+                tok.loc_in(file));
     ++i;
   }
 
   Token eol;
   eol.kind = TokenKind::EndOfLine;
-  eol.loc = loc_at(text.size());
+  eol.line = line;
+  eol.column = column_at(text.size());
   out.push_back(std::move(eol));
   return out;
 }

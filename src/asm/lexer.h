@@ -15,7 +15,8 @@
 
 namespace advm::assembler {
 
-/// Tokenises a single logical line. `file`/`line` seed the SourceLocs.
+/// Tokenises a single logical line. Tokens carry `line` and their column;
+/// `file` only names the line in the lexer's own diagnostics.
 /// Malformed input (bad numbers, unterminated strings, stray characters)
 /// produces diagnostics and is skipped, so callers always receive a
 /// well-formed (possibly empty) token vector terminated by EndOfLine.

@@ -1,9 +1,11 @@
 // Source locations for assembler diagnostics.
 //
-// Every token, directive and diagnostic in the ADVM toolchain carries a
-// SourceLoc so that errors in generated test environments can be traced back
-// to the exact file and line of the offending assembler source — essential
-// when the abstraction layer expands includes and macros (paper §4).
+// Every diagnostic, symbol, relocation and include edge in the ADVM
+// toolchain carries a SourceLoc so that errors in generated test
+// environments can be traced back to the exact file and line of the
+// offending assembler source — essential when the abstraction layer expands
+// includes and macros (paper §4). Tokens carry only line and column; the
+// code processing a line supplies its file (asm/token.h).
 #pragma once
 
 #include <cstdint>
@@ -12,8 +14,9 @@
 namespace advm::support {
 
 /// A position inside a named source buffer (1-based line/column).
-/// `file` is an interned name owned by whoever created the buffer (VFS path
-/// or synthetic name such as "<generated:Globals.inc>").
+/// `file` is a copy of the buffer's name (a VFS path, or the name given to
+/// Assembler::assemble_source). Line 0 means no position: such a location
+/// renders as "<unknown>" and diagnostics print no prefix.
 struct SourceLoc {
   std::string file;
   std::uint32_t line = 0;

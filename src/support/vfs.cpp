@@ -3,9 +3,31 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "support/hash.h"
+
 namespace advm::support {
 
+namespace {
+
+/// True if `path` is already what normalize_path would return: a leading
+/// '/', no empty, "." or ".." component and no trailing '/' (bar "/").
+bool is_normal(std::string_view path) {
+  if (path.empty() || path.front() != '/') return false;
+  if (path.size() == 1) return true;
+  std::size_t start = 1;
+  for (std::size_t i = 1; i <= path.size(); ++i) {
+    if (i < path.size() && path[i] != '/') continue;
+    const std::string_view part = path.substr(start, i - start);
+    if (part.empty() || part == "." || part == "..") return false;
+    start = i + 1;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string normalize_path(std::string_view path) {
+  if (is_normal(path)) return std::string(path);
   std::vector<std::string_view> parts;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= path.size(); ++i) {
@@ -45,6 +67,7 @@ std::string join_path(std::string_view a, std::string_view b) {
   std::string combined(a);
   combined += '/';
   combined.append(b);
+  if (is_normal(combined)) return combined;
   return normalize_path(combined);
 }
 
@@ -57,8 +80,45 @@ std::string dir_prefix(std::string_view dir) {
 }
 }  // namespace
 
+VirtualFileSystem::File& VirtualFileSystem::File::operator=(
+    const File& other) {
+  content_ = other.content_;
+  const bool hashed = other.hashed_.load();
+  digest_.store(other.digest_.load());
+  hashed_.store(hashed);
+  return *this;
+}
+
+void VirtualFileSystem::File::assign(std::string content) {
+  content_ = std::move(content);
+  hashed_.store(false);
+}
+
+std::uint64_t VirtualFileSystem::File::digest() const {
+  if (hashed_.load()) return digest_.load();
+  // digest_ is stored before hashed_ is raised, so a reader that sees the
+  // flag sees the digest.
+  const std::uint64_t digest = hash_bytes(content_);
+  digest_.store(digest);
+  hashed_.store(true);
+  return digest;
+}
+
+VirtualFileSystem::FileMap::const_iterator VirtualFileSystem::locate(
+    std::string_view path) const {
+  if (is_normal(path)) return files_.find(path);
+  return files_.find(normalize_path(path));
+}
+
+void VirtualFileSystem::put(std::string path, const File& file) {
+  files_.insert_or_assign(std::move(path), file);
+}
+
 void VirtualFileSystem::write(std::string_view path, std::string content) {
-  files_[normalize_path(path)] = std::move(content);
+  // try_emplace leaves `content` alone when the file already exists.
+  auto [it, inserted] =
+      files_.try_emplace(normalize_path(path), std::move(content));
+  if (!inserted) it->second.assign(std::move(content));
 }
 
 std::optional<std::string> VirtualFileSystem::read(
@@ -68,21 +128,28 @@ std::optional<std::string> VirtualFileSystem::read(
 }
 
 const std::string* VirtualFileSystem::find(std::string_view path) const {
-  auto it = files_.find(normalize_path(path));
-  return it == files_.end() ? nullptr : &it->second;
+  auto it = locate(path);
+  return it == files_.end() ? nullptr : &it->second.content();
 }
 
 const std::string& VirtualFileSystem::read_required(
     std::string_view path) const {
-  auto it = files_.find(normalize_path(path));
+  auto it = locate(path);
   if (it == files_.end()) {
     throw std::out_of_range("vfs: no such file: " + normalize_path(path));
   }
-  return it->second;
+  return it->second.content();
 }
 
 bool VirtualFileSystem::exists(std::string_view path) const {
-  return files_.count(normalize_path(path)) != 0;
+  return locate(path) != files_.end();
+}
+
+std::optional<std::uint64_t> VirtualFileSystem::digest(
+    std::string_view path) const {
+  auto it = locate(path);
+  if (it == files_.end()) return std::nullopt;
+  return it->second.digest();
 }
 
 bool VirtualFileSystem::dir_exists(std::string_view dir) const {
@@ -92,7 +159,10 @@ bool VirtualFileSystem::dir_exists(std::string_view dir) const {
 }
 
 bool VirtualFileSystem::remove(std::string_view path) {
-  return files_.erase(normalize_path(path)) != 0;
+  auto it = locate(path);
+  if (it == files_.end()) return false;
+  files_.erase(it);
+  return true;
 }
 
 std::size_t VirtualFileSystem::remove_tree(std::string_view dir) {
@@ -150,7 +220,7 @@ void VirtualFileSystem::copy_tree(std::string_view from_dir,
   std::string from_prefix = dir_prefix(from_dir);
   std::string to_prefix = dir_prefix(to_dir);
   // Collect first: writing while iterating the same map would invalidate.
-  std::vector<std::pair<std::string, std::string>> additions;
+  std::vector<std::pair<std::string, File>> additions;
   for (auto it = files_.lower_bound(from_prefix);
        it != files_.end() &&
        it->first.compare(0, from_prefix.size(), from_prefix) == 0;
@@ -158,7 +228,7 @@ void VirtualFileSystem::copy_tree(std::string_view from_dir,
     additions.emplace_back(to_prefix + it->first.substr(from_prefix.size()),
                            it->second);
   }
-  for (auto& [path, content] : additions) files_[path] = std::move(content);
+  for (auto& [path, file] : additions) put(std::move(path), file);
 }
 
 void VirtualFileSystem::export_tree(std::string_view dir,
@@ -169,13 +239,13 @@ void VirtualFileSystem::export_tree(std::string_view dir,
   for (auto it = files_.lower_bound(prefix);
        it != files_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
        ++it) {
-    dest.write(to_prefix + it->first.substr(prefix.size()), it->second);
+    dest.put(to_prefix + it->first.substr(prefix.size()), it->second);
   }
 }
 
 std::size_t VirtualFileSystem::total_bytes() const {
   std::size_t n = 0;
-  for (const auto& [_, content] : files_) n += content.size();
+  for (const auto& [_, file] : files_) n += file.content().size();
   return n;
 }
 

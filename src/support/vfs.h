@@ -10,6 +10,7 @@
 // mutable tree.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -20,7 +21,8 @@
 namespace advm::support {
 
 /// Normalises a VFS path: collapses "//", resolves "." and "..", strips any
-/// trailing slash, and guarantees a single leading '/'.
+/// trailing slash, and guarantees a single leading '/'. An already-normal
+/// path is returned after one scan.
 [[nodiscard]] std::string normalize_path(std::string_view path);
 
 /// Returns the parent directory of a normalised path ("/" for top level).
@@ -35,6 +37,13 @@ namespace advm::support {
 /// A flat, ordered, in-memory file store keyed by normalised absolute paths.
 /// Directories are implicit (a directory exists iff some file lies under it),
 /// matching how the assembler and environment generators use paths.
+///
+/// Each file carries its content digest (support::hash_bytes), computed on
+/// the first request and kept until the file is next written, so the object
+/// cache and the include memo hash a source once per version however often
+/// they revalidate it. Writes and imports hash nothing. Concurrent readers
+/// may request digests; as with every other read, no write may run
+/// concurrently with them.
 class VirtualFileSystem {
  public:
   /// Creates or overwrites a file.
@@ -51,6 +60,11 @@ class VirtualFileSystem {
   [[nodiscard]] const std::string& read_required(std::string_view path) const;
 
   [[nodiscard]] bool exists(std::string_view path) const;
+
+  /// hash_bytes() of a file's content, computed on first request and then
+  /// kept until the file is written or removed; nullopt if absent.
+  [[nodiscard]] std::optional<std::uint64_t> digest(
+      std::string_view path) const;
 
   /// True if at least one file lies strictly under `dir`.
   [[nodiscard]] bool dir_exists(std::string_view dir) const;
@@ -72,9 +86,10 @@ class VirtualFileSystem {
   [[nodiscard]] std::vector<std::string> list_dir(std::string_view dir) const;
 
   /// Deep-copies a subtree to another prefix (used by release snapshots).
+  /// Copies keep any digest already computed.
   void copy_tree(std::string_view from_dir, std::string_view to_dir);
 
-  /// Copies a subtree into another VFS (snapshot isolation).
+  /// Copies a subtree into another VFS (snapshot isolation), digests too.
   void export_tree(std::string_view dir, VirtualFileSystem& dest,
                    std::string_view dest_dir) const;
 
@@ -84,7 +99,30 @@ class VirtualFileSystem {
   [[nodiscard]] std::size_t total_bytes() const;
 
  private:
-  std::map<std::string, std::string, std::less<>> files_;
+  /// A file's content plus its lazily computed digest. Racing first
+  /// readers compute the same value, so whichever store lands is right.
+  class File {
+   public:
+    explicit File(std::string content) : content_(std::move(content)) {}
+    File(const File& other) { *this = other; }
+    File& operator=(const File& other);
+
+    [[nodiscard]] const std::string& content() const { return content_; }
+    void assign(std::string content);
+    [[nodiscard]] std::uint64_t digest() const;
+
+   private:
+    std::string content_;
+    mutable std::atomic<std::uint64_t> digest_{0};
+    mutable std::atomic<bool> hashed_{false};
+  };
+  using FileMap = std::map<std::string, File, std::less<>>;
+
+  /// Looks `path` up, normalising it only when it is not already normal.
+  [[nodiscard]] FileMap::const_iterator locate(std::string_view path) const;
+  void put(std::string path, const File& file);
+
+  FileMap files_;
 };
 
 }  // namespace advm::support

@@ -209,7 +209,7 @@ class ExprTest : public ::testing::Test {
  protected:
   std::optional<ExprValue> eval(std::string_view text,
                                 bool allow_forward = false) {
-    tokens_ = lex_line(text, "expr", 1, diags_);
+    tokens_ = lex_line(text, file_, 1, diags_);
     SymbolLookup lookup = [this](std::string_view name)
         -> std::optional<ExprValue> {
       if (name == "PAGE_FIELD_SIZE") return ExprValue::absolute(5);
@@ -219,9 +219,10 @@ class ExprTest : public ::testing::Test {
     EvalOptions opts;
     opts.allow_forward_refs = allow_forward;
     std::size_t consumed = 0;
-    return evaluate_expr(tokens_, consumed, lookup, opts, diags_);
+    return evaluate_expr(tokens_, file_, consumed, lookup, opts, diags_);
   }
 
+  const std::string file_ = "expr";
   DiagnosticEngine diags_;
   std::vector<Token> tokens_;
 };
@@ -315,6 +316,61 @@ class AsmTest : public ::testing::Test {
   VirtualFileSystem vfs_;
   DiagnosticEngine diags_;
 };
+
+TEST_F(AsmTest, DiagnosticLocationsArePinned) {
+  // file:line:col of every kind of token a diagnostic can point at: a
+  // token of the test's own line (lexer, statement, expression operand),
+  // a line of an included file, a macro body line (expanded in the file
+  // that defines the macro, arguments at the parameter's position), a
+  // .DEFINE substitution (at the use site) and the end of a line where an
+  // expression ran out.
+  vfs_.write("/env/Abstraction_Layer/defs.inc",
+             ";; abstraction layer\n"
+             "BASE .EQU 0x100\n"
+             "BROKEN .EQU MISSING * 2\n"
+             ".MACRO SETREG reg, value\n"
+             "  MOV reg, value\n"
+             "  FROB value\n"
+             ".ENDM\n");
+  vfs_.write("/env/T1/test.asm",
+             ";; test\n"
+             " .INCLUDE defs.inc\n"
+             ".DEFINE VALREG 5\n"
+             "_main:\n"
+             "  MOV d0, [a1 + NOPE]\n"
+             "  FROB d1\n"
+             "  SETREG 7, 1\n"
+             "  SETREG d2\n"
+             "  MOV VALREG, BASE\n"
+             "LIMIT .EQU 4 *\n"
+             "  .DB 12ab\n"
+             "  HALT\n");
+  AssemblerOptions options;
+  options.include_dirs = {"/env/Abstraction_Layer"};
+  Assembler assembler(vfs_, diags_, options);
+  EXPECT_FALSE(assembler.assemble_file("/env/T1/test.asm").has_value());
+  EXPECT_EQ(diags_.to_string(),
+            "/env/Abstraction_Layer/defs.inc:3:13: error "
+            "[asm.undefined-symbol]: undefined symbol 'MISSING' (forward "
+            "references are not allowed here)\n"
+            "/env/T1/test.asm:5:17: error [asm.undefined-symbol]: undefined "
+            "symbol 'NOPE' (forward references are not allowed here)\n"
+            "/env/T1/test.asm:6:3: error [asm.unknown-mnemonic]: unknown "
+            "mnemonic or directive 'FROB'\n"
+            "/env/Abstraction_Layer/defs.inc:5:7: error "
+            "[asm.expected-register]: expected a register (d0..d15 / "
+            "a0..a15)\n"
+            "/env/Abstraction_Layer/defs.inc:6:3: error "
+            "[asm.unknown-mnemonic]: unknown mnemonic or directive 'FROB'\n"
+            "/env/T1/test.asm:8:3: error [asm.macro-arity]: macro 'SETREG' "
+            "expects 2 argument(s), got 1\n"
+            "/env/T1/test.asm:9:7: error [asm.expected-register]: expected a "
+            "register (d0..d15 / a0..a15)\n"
+            "/env/T1/test.asm:10:15: error [asm.bad-expression]: expected "
+            "expression\n"
+            "/env/T1/test.asm:11:7: error [asm.bad-number]: malformed numeric "
+            "literal\n");
+}
 
 TEST_F(AsmTest, EmptySourceProducesEmptyObject) {
   auto r = assemble("; nothing here\n\n");

@@ -24,6 +24,7 @@
 #include "asm/include_memo.h"
 #include "soc/derivative.h"
 #include "support/diagnostics.h"
+#include "support/text.h"
 #include "support/vfs.h"
 
 namespace {
@@ -533,6 +534,53 @@ TEST(PersistentObjectCache, ByteBudgetSpansBothTiers) {
   EXPECT_GT(stats.evictions + stats.persistent_evictions, 0u);
 }
 
+TEST(PersistentObjectCache, EntryWithTheVersionOneMagicIsRebuilt) {
+  // Version 1 keyed entries on the source text and hashed include contents
+  // into the deps digest; such an entry must never be adopted. Rewrite
+  // the stored entry with the old magic (payload and checksum intact) and
+  // expect a rebuild that re-stores it in the current format.
+  ScratchDir scratch("magic");
+  auto vfs = tiny_program();
+  AssemblerOptions options;
+  {
+    ObjectCache first(0, scratch.path());
+    ASSERT_TRUE(first.assemble(vfs, kMain, options).ok());
+  }
+  std::vector<std::filesystem::path> entries;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scratch.path())) {
+    entries.push_back(entry.path());
+  }
+  ASSERT_EQ(entries.size(), 1u);
+  const auto read_bytes = [&] {
+    std::ifstream in(entries.front(), std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  std::string bytes = read_bytes();
+  ASSERT_EQ(bytes.substr(0, 8), "ADVMOBJ2");
+  bytes[7] = '1';
+  {
+    std::ofstream out(entries.front(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_FALSE(decode_stored_object(bytes).has_value());
+
+  {
+    ObjectCache cache(0, scratch.path());
+    ASSERT_TRUE(cache.assemble(vfs, kMain, options).ok());
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.persistent_hits, 0u);
+    EXPECT_EQ(stats.persistent_stores, 1u);
+  }
+  EXPECT_EQ(read_bytes().substr(0, 8), "ADVMOBJ2");
+  ObjectCache warm(0, scratch.path());
+  ASSERT_TRUE(warm.assemble(vfs, kMain, options).ok());
+  EXPECT_EQ(warm.stats().persistent_hits, 1u);
+}
+
 // ---------------------------------------------------------- include memo --
 
 /// Everything one assembly returns, as bytes: success, the rendered
@@ -737,6 +785,47 @@ TEST(IncludeMemo, IncludeAfterTheFirstStatementTakesTheNormalPath) {
     expect_transparent(vfs, kPreludeUnits, prelude_options(), memo);
     EXPECT_EQ(memo.stats().records, 0u) << head;
     EXPECT_EQ(memo.stats().hits, 0u) << head;
+  }
+}
+
+TEST(IncludeMemo, WritingANestedIncludeInvalidatesRecordAndCacheEntry) {
+  // Both layers revalidate on the VFS's per-file digests; a write through
+  // VirtualFileSystem::write to either prelude file must make both the
+  // memo record and the cached test objects stale.
+  struct Edit {
+    const char* path;
+    const char* from;
+    const char* to;
+  };
+  for (const Edit& edit : {Edit{kRegDefs, "0x1000", "0x2000"},
+                           Edit{kGlobalsInc, "REG_BASE + 4", "REG_BASE + 8"}}) {
+    auto vfs = prelude_tree();
+    ObjectCache cache;
+    for (const std::string& unit : kPreludeUnits) {
+      ASSERT_TRUE(cache.assemble(vfs, unit, prelude_options()).ok());
+    }
+    ASSERT_EQ(cache.include_memo().stats().records, 1u);
+
+    vfs.write(edit.path,
+              support::replace_all(*vfs.find(edit.path), edit.from, edit.to));
+    for (const std::string& unit : kPreludeUnits) {
+      auto rebuilt = cache.assemble(vfs, unit, prelude_options());
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.error;
+      EXPECT_FALSE(rebuilt.hit) << edit.path << " " << unit;
+      support::DiagnosticEngine diags;
+      assembler::Assembler reference(vfs, diags, prelude_options());
+      auto expected = reference.assemble_file(unit);
+      ASSERT_TRUE(expected.has_value());
+      EXPECT_EQ(rebuilt.object->sections.front().bytes,
+                expected->object.sections.front().bytes)
+          << edit.path << " " << unit;
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.hits, 0u) << edit.path;
+    EXPECT_EQ(stats.misses, 4u) << edit.path;
+    // The stale record was replaced once and served to the second unit.
+    EXPECT_EQ(cache.include_memo().stats().records, 2u) << edit.path;
+    EXPECT_EQ(cache.include_memo().stats().hits, 2u) << edit.path;
   }
 }
 

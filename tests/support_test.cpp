@@ -4,10 +4,13 @@
 
 #include <set>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "support/diagnostics.h"
 #include "support/disk.h"
@@ -191,6 +194,124 @@ TEST(Vfs, ExportTreeToAnotherVfs) {
   a.write("/env/x", "payload");
   a.export_tree("/env", b, "/snapshot");
   EXPECT_EQ(b.read("/snapshot/x"), "payload");
+}
+
+TEST(Vfs, NormalizePathTable) {
+  // Outputs pinned to the component-by-component normaliser; the
+  // already-normal fast path must return exactly the same strings.
+  struct Case {
+    const char* in;
+    const char* out;
+  };
+  for (const Case& c : {Case{"/env/T1/test.asm", "/env/T1/test.asm"},
+                        Case{"/a", "/a"},
+                        Case{"/a//b", "/a/b"},
+                        Case{"//a", "/a"},
+                        Case{"/a/./b", "/a/b"},
+                        Case{"/a/.", "/a"},
+                        Case{"/./a", "/a"},
+                        Case{"/a/b/../c", "/a/c"},
+                        Case{"/a/..", "/"},
+                        Case{"/..", "/"},
+                        Case{"/../a", "/a"},
+                        Case{"/a/../../b", "/b"},
+                        Case{"/a/b/", "/a/b"},
+                        Case{"/a/b//", "/a/b"},
+                        Case{"a/b", "/a/b"},
+                        Case{"./a", "/a"},
+                        Case{"a", "/a"},
+                        Case{"/...", "/..."},
+                        Case{"/.a/..b", "/.a/..b"},
+                        Case{"/", "/"},
+                        Case{"//", "/"},
+                        Case{"", "/"}}) {
+    EXPECT_EQ(normalize_path(c.in), c.out) << '"' << c.in << '"';
+  }
+}
+
+TEST(Vfs, DigestOfAnAbsentPathIsNullopt) {
+  VirtualFileSystem vfs;
+  EXPECT_FALSE(vfs.digest("/env/missing").has_value());
+  vfs.write("/env/present", "x");
+  EXPECT_FALSE(vfs.digest("/env/missing").has_value());
+  EXPECT_FALSE(vfs.digest("/env").has_value());  // a directory is no file
+}
+
+TEST(Vfs, DigestIsTheHashOfTheContentByAnySpelling) {
+  VirtualFileSystem vfs;
+  vfs.write("/env/Globals.inc", "PAGE .EQU 8\n");
+  vfs.write("/env/empty", "");
+  EXPECT_EQ(vfs.digest("/env/Globals.inc"), hash_bytes("PAGE .EQU 8\n"));
+  EXPECT_EQ(vfs.digest("//env/./Globals.inc"), hash_bytes("PAGE .EQU 8\n"));
+  EXPECT_EQ(vfs.digest("/env/empty"), hash_bytes(""));
+  // Asking again serves the kept digest: same value.
+  EXPECT_EQ(vfs.digest("/env/Globals.inc"), hash_bytes("PAGE .EQU 8\n"));
+}
+
+TEST(Vfs, OverwritingChangesTheDigestOnlyWithOtherBytes) {
+  VirtualFileSystem vfs;
+  vfs.write("/f", "alpha");
+  const auto first = vfs.digest("/f");
+  ASSERT_TRUE(first.has_value());
+  vfs.write("/f", "beta");
+  EXPECT_NE(vfs.digest("/f"), first);
+  EXPECT_EQ(vfs.digest("/f"), hash_bytes("beta"));
+  vfs.write("/f", "beta");  // same bytes again
+  EXPECT_EQ(vfs.digest("/f"), hash_bytes("beta"));
+  vfs.write("/f", "alpha");
+  EXPECT_EQ(vfs.digest("/f"), first);
+}
+
+TEST(Vfs, CopiesCarryTheDigestAndRemoveDropsIt) {
+  VirtualFileSystem vfs;
+  vfs.write("/src/hashed", "alpha");
+  vfs.write("/src/d/unhashed", "beta");
+  const auto hashed = vfs.digest("/src/hashed");
+  vfs.copy_tree("/src", "/dst");
+  EXPECT_EQ(vfs.digest("/dst/hashed"), hashed);
+  EXPECT_EQ(vfs.digest("/dst/d/unhashed"), hash_bytes("beta"));
+
+  VirtualFileSystem other;
+  other.write("/snapshot/hashed", "stale");
+  (void)other.digest("/snapshot/hashed");
+  vfs.export_tree("/src", other, "/snapshot");
+  EXPECT_EQ(other.digest("/snapshot/hashed"), hashed);
+  EXPECT_EQ(other.digest("/snapshot/d/unhashed"), hash_bytes("beta"));
+
+  // A copy is its own file: writing it leaves the original's digest alone.
+  vfs.write("/dst/hashed", "gamma");
+  EXPECT_EQ(vfs.digest("/dst/hashed"), hash_bytes("gamma"));
+  EXPECT_EQ(vfs.digest("/src/hashed"), hashed);
+
+  EXPECT_TRUE(vfs.remove("/src/hashed"));
+  EXPECT_FALSE(vfs.digest("/src/hashed").has_value());
+  vfs.write("/src/hashed", "delta");
+  EXPECT_EQ(vfs.digest("/src/hashed"), hash_bytes("delta"));
+  EXPECT_EQ(vfs.remove_tree("/dst"), 2u);
+  EXPECT_FALSE(vfs.digest("/dst/d/unhashed").has_value());
+}
+
+TEST(Vfs, ConcurrentFirstDigestRequestsAgree) {
+  // Digests are computed lazily by whichever reader asks first; pool
+  // threads racing on one file's first request must all see the same
+  // value (run under TSan in CI).
+  VirtualFileSystem vfs;
+  const std::string content(64 * 1024, 'x');
+  vfs.write("/env/Globals.inc", content);
+  constexpr int kThreads = 8;
+  std::vector<std::uint64_t> seen(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[static_cast<std::size_t>(t)] =
+          vfs.digest("/env/Globals.inc").value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::uint64_t digest : seen) EXPECT_EQ(digest, hash_bytes(content));
 }
 
 // ---------------------------------------------------------------- hash ----

@@ -394,12 +394,16 @@ if [[ "${ADVM_CI_SKIP_SAN:-0}" != "1" ]]; then
 
   echo "==> TSan lane (concurrency suites: worker pools, serve daemon)"
   # Scoped to the suites that actually exercise threads — WorkerPool
-  # fan-out, the daemon's executor/poll loops, parallel regression — a
-  # full TSan ctest lap would mostly re-run single-threaded code slower.
+  # fan-out, the daemon's executor/poll loops, parallel regression, the
+  # object cache's same-key builds and the VFS digests pool threads
+  # compute lazily — a full TSan ctest lap would mostly re-run
+  # single-threaded code slower.
   cmake --preset tsan
   cmake --build build-tsan -j \
-    -t exec_test -t serve_test -t regression_parallel_test
-  for suite in exec_test serve_test regression_parallel_test; do
+    -t exec_test -t serve_test -t regression_parallel_test \
+    -t objcache_test -t support_test
+  for suite in exec_test serve_test regression_parallel_test \
+               objcache_test support_test; do
     "./build-tsan/tests/${suite}"
   done
 else
