@@ -153,14 +153,15 @@ int main() {
   bench::emit_json("e10_matrix", "scaling", table);
 
   // Execution-backend datapoint on the full 8-cell cube: the in-process
-  // thread backend vs `advm worker` subprocess shards (the orchestration
-  // substrate for corpus-scale fan-out). Wall-clock includes the process
-  // backend's tree export and worker spawn overhead — that overhead is
-  // what this row exists to keep on record. Two process rows: "pooled"
-  // (one worker pool serving the whole cube — spawn and tree import paid
-  // once per worker) vs "oneshot" (one backend invocation per cell, the
-  // cold-start cost repeated matrix laps used to pay per slice). Outcome
-  // digests must match the thread backend cell for cell.
+  // thread backend vs a pool of `advm worker --serve` subprocesses.
+  // Wall-clock includes the process backend's tree export and worker
+  // spawn overhead — that overhead is what this row exists to keep on
+  // record. Two process rows: "pooled" (one worker pool serving the whole
+  // cube — spawn and tree import paid once per worker) vs "oneshot" (a
+  // cold pooled backend per cell — one worker spawned, handed the tree
+  // and shut down for every cell, what N separate `advm run --backend
+  // process` invocations cost). Outcome digests must match the thread
+  // backend cell for cell.
   {
     std::vector<std::string> derivative_names;
     for (const soc::DerivativeSpec* spec : soc::all_derivatives()) {
@@ -199,13 +200,12 @@ int main() {
                                thread_run.cells[i].outcome_digest();
         }
       }
-      backends.add_row("process-pooled", plan.slices.size(), process_ms,
+      backends.add_row("process-pooled", plan.shards, process_ms,
                        match ? "yes" : "NO");
 
-      // One-shot arm: a fresh single-cell plan (and therefore a fresh
-      // worker spawn + tree export + import) per cell — what N separate
-      // `advm run --backend process` invocations cost, and the pre-pool
-      // per-slice cold start.
+      // One-shot arm: a fresh single-cell plan on a cold pooled backend
+      // (and therefore a fresh worker spawn + tree export + import) per
+      // cell.
       bench::Stopwatch oneshot_watch;
       bool oneshot_match = true;
       std::size_t cube_index = 0;  // derivative-major, matches plan order

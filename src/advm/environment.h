@@ -64,7 +64,7 @@ struct SystemLayout {
 
 /// The canonical five-module system (paper Fig 5) with `tests_per_module`
 /// tests each — what `advm init` and an empty BuildRequest environment
-/// list build, and the default corpus the execution planners slice.
+/// list build.
 [[nodiscard]] std::vector<EnvironmentConfig> canonical_environments(
     std::size_t tests_per_module);
 
@@ -75,9 +75,9 @@ inline constexpr const char* kTestplanFile = "TESTPLAN.TXT";
 inline constexpr const char* kTestSourceFile = "test.asm";
 
 /// One generated file, before it lands in a VFS. Corpus generation renders
-/// into these buffers so environments can be generated in parallel (and on
-/// shard workers) while the VFS — which is not thread-safe — is only
-/// written from one thread, in deterministic order.
+/// into these buffers so environments can be generated in parallel while
+/// the VFS — which is not thread-safe — is only written from one thread,
+/// in deterministic order.
 struct GeneratedFile {
   std::string path;
   std::string content;
@@ -85,7 +85,7 @@ struct GeneratedFile {
 
 /// Renders every file of one module environment (abstraction layer,
 /// testplan, test cells) for `spec`. Pure function of its arguments — safe
-/// to fan out, and the unit of a corpus work-plan slice.
+/// to fan out across threads.
 [[nodiscard]] std::vector<GeneratedFile> generate_environment(
     std::string_view system_root, const EnvironmentConfig& env_config,
     const soc::DerivativeSpec& spec, const GlobalsOptions& globals,

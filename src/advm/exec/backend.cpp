@@ -8,11 +8,8 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <mutex>
 #include <numeric>
-#include <sstream>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -74,70 +71,6 @@ std::string make_scratch_dir(const std::string& base, std::error_code& ec) {
                 std::to_string(counter.fetch_add(1)));
   fs::create_directories(dir, ec);
   return ec ? std::string() : dir.string();
-}
-
-std::string slurp_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-struct WorkerRun {
-  int exit_code = -1;
-  std::string spawn_error;
-  std::string stdout_path;
-  std::string stderr_path;
-};
-
-/// Spawns every corpus slice's one-shot worker concurrently (one launcher
-/// thread per worker — the work happens in the subprocesses) and waits
-/// for all. posix_spawn with an argv vector: paths never pass through a
-/// shell.
-std::optional<Status> spawn_workers(const std::string& exe,
-                                    const std::string& scratch,
-                                    const std::vector<WorkerSlice>& slices,
-                                    std::vector<WorkerRun>& runs) {
-  runs.assign(slices.size(), WorkerRun{});
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    const std::string stem = scratch + "/shard-" + std::to_string(i);
-    if (Status status = write_slice_file(stem + ".slice.json", slices[i]);
-        !status.ok()) {
-      return status;
-    }
-    runs[i].stdout_path = stem + ".out.json";
-    runs[i].stderr_path = stem + ".err.txt";
-  }
-  parallel_for(slices.size(), slices.size(), [&](std::size_t i) {
-    const std::string stem = scratch + "/shard-" + std::to_string(i);
-    runs[i].exit_code =
-        run_oneshot_worker(exe, stem + ".slice.json", runs[i].stdout_path,
-                           runs[i].stderr_path, &runs[i].spawn_error);
-  });
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i].exit_code < 0 && !runs[i].spawn_error.empty()) {
-      return Status::error("advm.exec-spawn-failed",
-                           "shard " + std::to_string(i) + ": " +
-                               runs[i].spawn_error);
-    }
-  }
-  return std::nullopt;
-}
-
-Status worker_failure(std::size_t shard, const WorkerRun& run,
-                      const std::string& detail) {
-  std::string message = "shard " + std::to_string(shard) + ": " + detail;
-  const std::string stderr_text = slurp_file(run.stderr_path);
-  if (!stderr_text.empty()) {
-    // Last line of the worker's stderr usually names the real problem.
-    message += " [worker stderr: ";
-    message += stderr_text.size() > 400
-                   ? stderr_text.substr(stderr_text.size() - 400)
-                   : stderr_text;
-    if (message.back() == '\n') message.pop_back();
-    message += "]";
-  }
-  return Status::error("advm.exec-worker-failed", std::move(message));
 }
 
 /// RAII scratch-dir cleanup (keeps the tree on ADVM_EXEC_KEEP_SCRATCH=1
@@ -307,7 +240,7 @@ MatrixExecution ProcessBackend::run_matrix(const MatrixPlan& plan) {
         "worker executable not found: " + (exe.empty() ? "<none>" : exe));
     return execution;
   }
-  if (plan.cells.empty() || plan.slices.empty()) {
+  if (plan.cells.empty() || plan.shards == 0) {
     execution.status =
         Status::error("advm.exec-bad-plan", "matrix plan has no cells");
     return execution;
@@ -411,11 +344,10 @@ MatrixExecution ProcessBackend::run_matrix(const MatrixPlan& plan) {
     groups.push_back(std::move(group));
   }
 
-  // One resident worker per plan slice, but never more workers than
+  // One resident worker per plan shard, but never more workers than
   // request groups — the seeded first deal below must cover every live
   // worker with at least one request.
-  const std::size_t worker_count =
-      std::min(plan.slices.size(), groups.size());
+  const std::size_t worker_count = std::min(plan.shards, groups.size());
   WorkerPool pool;
   if (Status status = pool.spawn(exe, scratch.dir, worker_count);
       !status.ok()) {
@@ -701,56 +633,6 @@ MatrixExecution ProcessBackend::run_matrix(const MatrixPlan& plan) {
   }
   execution.cost_model.recorded = model.publish();
   return execution;
-}
-
-Status generate_corpus_with_workers(const CorpusPlan& plan,
-                                    std::string_view out_dir,
-                                    const ProcessBackendConfig& config) {
-  const std::string exe =
-      config.worker_exe.empty() ? self_exe_path() : config.worker_exe;
-  if (exe.empty() || !fs::exists(exe)) {
-    return Status::error(
-        "advm.exec-spawn-failed",
-        "worker executable not found: " + (exe.empty() ? "<none>" : exe));
-  }
-  std::error_code ec;
-  ScratchGuard scratch{make_scratch_dir(config.scratch_dir, ec)};
-  if (ec || scratch.dir.empty()) {
-    return Status::error("advm.exec-spawn-failed",
-                         "cannot create scratch directory: " + ec.message());
-  }
-
-  std::vector<WorkerSlice> slices;
-  slices.reserve(plan.slices.size());
-  for (const CorpusSlice& planned : plan.slices) {
-    WorkerSlice slice;
-    slice.kind = WorkerSlice::Kind::Corpus;
-    slice.tree_dir = std::string(out_dir);
-    slice.derivative = plan.derivative;
-    slice.jobs = config.jobs_per_worker;
-    slice.environments = planned.environments;
-    slices.push_back(std::move(slice));
-  }
-
-  std::vector<WorkerRun> runs;
-  if (auto spawn_error = spawn_workers(exe, scratch.dir, slices, runs)) {
-    return std::move(*spawn_error);
-  }
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (runs[i].exit_code != 0) {
-      return worker_failure(
-          i, runs[i], "exit code " + std::to_string(runs[i].exit_code));
-    }
-    std::string parse_error;
-    const auto doc =
-        support::json::parse(slurp_file(runs[i].stdout_path), &parse_error);
-    const auto* ok = doc ? doc->find("ok") : nullptr;
-    if (!doc || !ok || ok->as_bool() != std::optional<bool>(true)) {
-      return worker_failure(
-          i, runs[i], "unparsable shard report (" + parse_error + ")");
-    }
-  }
-  return {};
 }
 
 }  // namespace advm::core::exec

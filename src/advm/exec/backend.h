@@ -8,7 +8,7 @@
 //    interface. One assembly phase, one shared cache and board pool.
 //
 //  * ProcessBackend — posix_spawns a pool of long-lived `advm worker
-//    --serve` subprocesses (one per plan slice) against an exported copy
+//    --serve` subprocesses (one per plan shard) against an exported copy
 //    of the tree, speaks the line-delimited JSON serve protocol over
 //    stdin/stdout pipes (src/advm/exec/workerpool.h), and dispatches
 //    cells *dynamically*: a shared queue ordered by estimated cost —
@@ -113,8 +113,8 @@ struct ProcessBackendConfig {
   /// Worker binary. Empty = this process's own executable (/proc/self/exe)
   /// — correct when the caller is the advm CLI itself.
   std::string worker_exe;
-  /// Scratch directory for the exported tree, slice files and shard
-  /// reports; empty = a fresh directory under the system temp dir. Always
+  /// Scratch directory for the exported tree and the workers' stderr
+  /// captures; empty = a fresh directory under the system temp dir. Always
   /// extended with a unique subdirectory and removed afterwards.
   std::string scratch_dir;
   /// Persistent object-cache directory shared by every worker (and with
@@ -223,13 +223,5 @@ enum class GroupFate { Retry, Split, Poison };
     std::string_view document, const std::vector<std::size_t>& expected,
     std::vector<RegressionReport>& cells, std::vector<bool>& filled,
     std::vector<double>* cell_millis = nullptr);
-
-/// Corpus half of the process backend: spawns one worker per corpus slice,
-/// each generating its environments directly into `out_dir` (disjoint
-/// subdirectories, so no two workers touch the same file). The caller owns
-/// the global layer — write it before or after; the workers never do.
-[[nodiscard]] Status generate_corpus_with_workers(
-    const CorpusPlan& plan, std::string_view out_dir,
-    const ProcessBackendConfig& config);
 
 }  // namespace advm::core::exec

@@ -398,54 +398,6 @@ Status WorkerPool::shutdown() {
   return first_failure;
 }
 
-Status write_slice_file(const std::string& path, const WorkerSlice& slice) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << to_json(slice) << "\n";
-  // close() flushes; only then does the stream state reflect whether the
-  // bytes actually landed (a full disk truncates silently before that).
-  out.close();
-  if (!out.good()) {
-    return Status::error("advm.exec-spawn-failed",
-                         "cannot write slice file " + path);
-  }
-  return {};
-}
-
-int run_oneshot_worker(const std::string& exe, const std::string& slice_path,
-                       const std::string& stdout_path,
-                       const std::string& stderr_path, std::string* error) {
-  FileActions fa;
-  posix_spawn_file_actions_addopen(&fa.actions, 0, "/dev/null", O_RDONLY,
-                                   0);
-  posix_spawn_file_actions_addopen(&fa.actions, 1, stdout_path.c_str(),
-                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  posix_spawn_file_actions_addopen(&fa.actions, 2, stderr_path.c_str(),
-                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  pid_t pid = -1;
-  const int rc =
-      spawn_process(exe, {"worker", "--slice", slice_path}, &fa.actions,
-                    &pid);
-  if (rc != 0) {
-    if (error != nullptr) {
-      *error = std::string("posix_spawn ") + exe + ": " + std::strerror(rc);
-    }
-    return -1;
-  }
-  int status = 0;
-  pid_t reaped;
-  do {
-    reaped = ::waitpid(pid, &status, 0);
-  } while (reaped < 0 && errno == EINTR);
-  if (reaped < 0) {
-    if (error != nullptr) {
-      *error = std::string("waitpid: ") + std::strerror(errno);
-    }
-    return -1;
-  }
-  // Only a real wait status goes through the WIFEXITED decoders.
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
 std::size_t divide_jobs(std::size_t jobs, std::size_t workers) {
   if (workers == 0) workers = 1;
   std::size_t total = jobs == 0

@@ -14,10 +14,6 @@
 // exit 0; the pool then waitpid(2)s every child. A worker that survives
 // a grace period after EOF is killed rather than wedging the
 // orchestrator.
-//
-// The same file also hosts the one-shot spawn helper (`advm worker
-// --slice <file>` with redirected stdout/stderr) the corpus path uses —
-// the piece that retired the std::system string-quoting spawn.
 #pragma once
 
 #include <sys/types.h>
@@ -27,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "advm/exec/workplan.h"
 #include "advm/session.h"
 
 namespace advm::core::exec {
@@ -173,24 +168,6 @@ enum class LineRead : std::uint8_t {
 /// upstream), never a process kill. On failure errno identifies the
 /// write error.
 [[nodiscard]] bool write_all_fd(int fd, std::string_view bytes);
-
-/// Writes `slice` as a JSON slice file at `path`, closing (and therefore
-/// flushing) before the stream state is checked — a full disk truncating
-/// the file must surface here as a typed Status, not later as a worker
-/// parse error.
-[[nodiscard]] Status write_slice_file(const std::string& path,
-                                      const WorkerSlice& slice);
-
-/// Spawns `exe worker --slice <slice_path>` with stdout/stderr redirected
-/// to the given files and waits for it. Returns the child's exit code, or
-/// -1 — with a diagnostic in `error` — when spawning or waiting itself
-/// failed (a wait status is only decoded via WIFEXITED when waitpid
-/// actually produced one).
-[[nodiscard]] int run_oneshot_worker(const std::string& exe,
-                                     const std::string& slice_path,
-                                     const std::string& stdout_path,
-                                     const std::string& stderr_path,
-                                     std::string* error);
 
 /// Effective per-worker pool size when `jobs` (0 = one per hardware
 /// thread) is divided across `workers` live worker processes:

@@ -1,7 +1,6 @@
 #include "advm/exec/workplan.h"
 
 #include <algorithm>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -10,39 +9,6 @@
 #include "support/text.h"
 
 namespace advm::core::exec {
-
-namespace {
-
-std::optional<ModuleKind> module_from_string(std::string_view name) {
-  for (ModuleKind kind : {ModuleKind::Register, ModuleKind::Uart,
-                          ModuleKind::Nvm, ModuleKind::Timer,
-                          ModuleKind::Memory}) {
-    if (to_string(kind) == name) return kind;
-  }
-  return std::nullopt;
-}
-
-template <typename Unit, typename Slice>
-std::vector<Slice> deal_round_robin(const std::vector<Unit>& units,
-                                    std::size_t shards) {
-  if (shards == 0) shards = 1;
-  std::vector<Slice> slices(std::min(shards, units.size()));
-  for (std::size_t i = 0; i < slices.size(); ++i) slices[i].shard = i;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    slices[i % slices.size()].payload().push_back(units[i]);
-  }
-  return slices;
-}
-
-// deal_round_robin needs one accessor name across both slice types.
-struct MatrixSliceView : MatrixSlice {
-  std::vector<PlannedCell>& payload() { return cells; }
-};
-struct CorpusSliceView : CorpusSlice {
-  std::vector<PlannedEnvironment>& payload() { return environments; }
-};
-
-}  // namespace
 
 MatrixPlan plan_matrix(const MatrixRequest& request, std::size_t shards) {
   MatrixPlan plan;
@@ -54,166 +20,8 @@ MatrixPlan plan_matrix(const MatrixRequest& request, std::size_t shards) {
       plan.cells.push_back({index++, derivative, platform});
     }
   }
-  auto views = deal_round_robin<PlannedCell, MatrixSliceView>(plan.cells,
-                                                              shards);
-  plan.slices.assign(std::make_move_iterator(views.begin()),
-                     std::make_move_iterator(views.end()));
+  plan.shards = std::min(std::max<std::size_t>(shards, 1), plan.cells.size());
   return plan;
-}
-
-CorpusPlan plan_corpus(const BuildRequest& request, std::size_t shards) {
-  CorpusPlan plan;
-  plan.root = request.root;
-  plan.derivative = request.derivative;
-  const std::vector<EnvironmentConfig> environments =
-      request.environments.empty()
-          ? canonical_environments(request.tests_per_module)
-          : request.environments;
-  for (std::size_t i = 0; i < environments.size(); ++i) {
-    plan.environments.push_back({i, environments[i]});
-  }
-  auto views = deal_round_robin<PlannedEnvironment, CorpusSliceView>(
-      plan.environments, shards);
-  plan.slices.assign(std::make_move_iterator(views.begin()),
-                     std::make_move_iterator(views.end()));
-  return plan;
-}
-
-std::string to_json(const WorkerSlice& slice) {
-  std::ostringstream os;
-  os << "{\"kind\":\""
-     << (slice.kind == WorkerSlice::Kind::Matrix ? "matrix" : "corpus")
-     << "\",\"tree_dir\":\"" << json_escape(slice.tree_dir) << "\"";
-  os << ",\"derivative\":\"" << json_escape(slice.derivative) << "\"";
-  os << ",\"max_instructions\":" << slice.max_instructions;
-  os << ",\"jobs\":" << slice.jobs;
-  os << ",\"cache_dir\":\"" << json_escape(slice.cache_dir) << "\"";
-  os << ",\"cache_max_bytes\":" << slice.cache_max_bytes;
-  os << ",\"cells\":[";
-  for (std::size_t i = 0; i < slice.cells.size(); ++i) {
-    const PlannedCell& cell = slice.cells[i];
-    if (i != 0) os << ",";
-    os << "{\"index\":" << cell.index << ",\"derivative\":\""
-       << json_escape(cell.derivative) << "\",\"platform\":\""
-       << json_escape(cell.platform) << "\"}";
-  }
-  os << "],\"environments\":[";
-  for (std::size_t i = 0; i < slice.environments.size(); ++i) {
-    const PlannedEnvironment& env = slice.environments[i];
-    if (i != 0) os << ",";
-    os << "{\"index\":" << env.index << ",\"name\":\""
-       << json_escape(env.config.name) << "\",\"module\":\""
-       << to_string(env.config.module)
-       << "\",\"test_count\":" << env.config.test_count << ",\"advm_style\":"
-       << (env.config.advm_style ? "true" : "false") << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::optional<WorkerSlice> parse_worker_slice(std::string_view text,
-                                              std::string* error) {
-  const auto fail = [error](std::string what) -> std::optional<WorkerSlice> {
-    if (error != nullptr) *error = std::move(what);
-    return std::nullopt;
-  };
-
-  auto doc = support::json::parse(text, error);
-  if (!doc) return std::nullopt;
-  if (!doc->is_object()) return fail("slice is not a JSON object");
-
-  WorkerSlice slice;
-  const auto* kind = doc->find("kind");
-  const auto kind_name = kind ? kind->as_string() : std::nullopt;
-  if (!kind_name) return fail("missing slice kind");
-  if (*kind_name == "matrix") {
-    slice.kind = WorkerSlice::Kind::Matrix;
-  } else if (*kind_name == "corpus") {
-    slice.kind = WorkerSlice::Kind::Corpus;
-  } else {
-    return fail("unknown slice kind '" + *kind_name + "'");
-  }
-
-  const auto string_field = [&](const char* key, std::string& out) {
-    const auto* value = doc->find(key);
-    const auto text_value = value ? value->as_string() : std::nullopt;
-    if (text_value) out = *text_value;
-    return text_value.has_value();
-  };
-  const auto uint_field = [&](const char* key, auto& out) {
-    const auto* value = doc->find(key);
-    const auto number = value ? value->as_uint64() : std::nullopt;
-    if (number) out = static_cast<std::decay_t<decltype(out)>>(*number);
-    return number.has_value();
-  };
-
-  if (!string_field("tree_dir", slice.tree_dir)) {
-    return fail("missing tree_dir");
-  }
-  string_field("derivative", slice.derivative);
-  uint_field("max_instructions", slice.max_instructions);
-  uint_field("jobs", slice.jobs);
-  string_field("cache_dir", slice.cache_dir);
-  uint_field("cache_max_bytes", slice.cache_max_bytes);
-
-  if (const auto* cells = doc->find("cells"); cells && cells->is_array()) {
-    for (const auto& item : cells->items) {
-      PlannedCell cell;
-      const auto* index = item.find("index");
-      const auto* derivative = item.find("derivative");
-      const auto* platform = item.find("platform");
-      const auto index_value = index ? index->as_uint64() : std::nullopt;
-      const auto derivative_name =
-          derivative ? derivative->as_string() : std::nullopt;
-      const auto platform_name =
-          platform ? platform->as_string() : std::nullopt;
-      if (!index_value || !derivative_name || !platform_name) {
-        return fail("malformed cell");
-      }
-      cell.index = static_cast<std::size_t>(*index_value);
-      cell.derivative = *derivative_name;
-      cell.platform = *platform_name;
-      slice.cells.push_back(std::move(cell));
-    }
-  }
-
-  if (const auto* envs = doc->find("environments");
-      envs && envs->is_array()) {
-    for (const auto& item : envs->items) {
-      PlannedEnvironment env;
-      const auto* index = item.find("index");
-      const auto* name = item.find("name");
-      const auto* module = item.find("module");
-      const auto* count = item.find("test_count");
-      const auto* advm_style = item.find("advm_style");
-      const auto index_value = index ? index->as_uint64() : std::nullopt;
-      const auto env_name = name ? name->as_string() : std::nullopt;
-      const auto module_name = module ? module->as_string() : std::nullopt;
-      const auto count_value = count ? count->as_uint64() : std::nullopt;
-      const auto style = advm_style ? advm_style->as_bool() : std::nullopt;
-      if (!index_value || !env_name || !module_name || !count_value ||
-          !style) {
-        return fail("malformed environment");
-      }
-      const auto kind_value = module_from_string(*module_name);
-      if (!kind_value) return fail("unknown module '" + *module_name + "'");
-      env.index = static_cast<std::size_t>(*index_value);
-      env.config.name = *env_name;
-      env.config.module = *kind_value;
-      env.config.test_count = static_cast<std::size_t>(*count_value);
-      env.config.advm_style = *style;
-      slice.environments.push_back(std::move(env));
-    }
-  }
-
-  if (slice.kind == WorkerSlice::Kind::Matrix && slice.cells.empty()) {
-    return fail("matrix slice has no cells");
-  }
-  if (slice.kind == WorkerSlice::Kind::Corpus &&
-      slice.environments.empty()) {
-    return fail("corpus slice has no environments");
-  }
-  return slice;
 }
 
 std::string to_json(const ServeRequest& request) {

@@ -1,20 +1,18 @@
-// Execution planning — the "what" of a matrix or corpus run, split from
-// the "how".
+// Execution planning — the "what" of a matrix run, split from the "how".
 //
-// The planners here are the discovery/enumeration halves factored out of
-// the regression runner (the derivative × platform cube regression.cpp
-// used to build inline) and the environment generator (the environment
-// list build_system used to walk serially). They produce a *typed,
-// serializable* WorkPlan: the full unit list in deterministic order plus a
-// round-robin partition into shard slices.
+// The planner here is the enumeration half factored out of the regression
+// runner (the derivative × platform cube regression.cpp used to build
+// inline). It produces a typed MatrixPlan: the full cell list in
+// deterministic order plus the number of worker shards the process backend
+// may spawn for it.
 //
 // An ExecutionBackend (backend.h) consumes the plan. The thread backend
-// runs the whole cube in-process; the process backend writes each slice as
-// a JSON file, hands it to an `advm worker --slice <file>` subprocess (a
-// thin advm::Session driven by the slice), and folds the shard reports
-// back in plan order. Because every unit records its index in the full
-// plan, merged results are positioned — never appended — so aggregation is
-// deterministic for any shard count by construction.
+// runs the whole cube in-process; the process backend hands cells to a
+// pool of `advm worker --serve` subprocesses over the serve protocol below
+// and folds their reports back in plan order. Because every cell records
+// its index in the full plan, merged results are positioned — never
+// appended — so aggregation is deterministic for any shard count by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "advm/environment.h"
 #include "advm/session.h"
 
 namespace advm::core::exec {
@@ -37,78 +34,20 @@ struct PlannedCell {
   std::string platform;
 };
 
-/// One module environment of a corpus build. `index` is its position in
-/// the environment list (which fixes write order and therefore layout).
-struct PlannedEnvironment {
-  std::size_t index = 0;
-  EnvironmentConfig config;
-};
-
-struct MatrixSlice {
-  std::size_t shard = 0;
-  std::vector<PlannedCell> cells;
-};
-
-struct CorpusSlice {
-  std::size_t shard = 0;
-  std::vector<PlannedEnvironment> environments;
-};
-
-/// The derivative × platform cube of a MatrixRequest plus its partition
-/// into at most `shards` non-empty slices.
+/// The derivative × platform cube of a MatrixRequest plus the worker
+/// shard count it may use.
 struct MatrixPlan {
   std::string root;
   std::uint64_t max_instructions = 2'000'000;
-  std::vector<PlannedCell> cells;     ///< derivative-major, index order
-  std::vector<MatrixSlice> slices;    ///< round-robin partition of `cells`
+  std::vector<PlannedCell> cells;  ///< derivative-major, index order
+  std::size_t shards = 0;          ///< min(requested shards, cells)
 };
 
-/// The environment list of a BuildRequest (canonical five-module system
-/// when the request leaves it empty) plus its shard partition.
-struct CorpusPlan {
-  std::string root;
-  std::string derivative;
-  std::vector<PlannedEnvironment> environments;
-  std::vector<CorpusSlice> slices;
-};
-
-/// Builds the matrix plan for a validated request. `shards` must be ≥ 1;
-/// cells are dealt round-robin (cell i → slice i % shards) and empty
-/// slices are dropped, so the slice count is min(shards, cells).
+/// Builds the matrix plan for a validated request. `shards` below 1 counts
+/// as 1; the plan never asks for more shards than it has cells, so an
+/// empty cube plans 0.
 [[nodiscard]] MatrixPlan plan_matrix(const MatrixRequest& request,
                                      std::size_t shards);
-
-[[nodiscard]] CorpusPlan plan_corpus(const BuildRequest& request,
-                                     std::size_t shards);
-
-// ------------------------------------------------- worker slice protocol --
-
-/// Everything one `advm worker` subprocess needs, as read from the
-/// --slice file. `tree_dir` is a disk directory: the tree to import for a
-/// matrix slice, the output directory a corpus slice generates into.
-/// (Corpus slices carry the environment configs; globals/base-function
-/// generation options are the defaults — the orchestrator owns the global
-/// layer.)
-struct WorkerSlice {
-  enum class Kind : std::uint8_t { Matrix, Corpus };
-  Kind kind = Kind::Matrix;
-  std::string tree_dir;
-  std::string derivative;  ///< corpus only
-  std::uint64_t max_instructions = 2'000'000;
-  std::size_t jobs = 1;
-  std::string cache_dir;
-  std::uint64_t cache_max_bytes = 0;
-  std::vector<PlannedCell> cells;                ///< matrix payload
-  std::vector<PlannedEnvironment> environments;  ///< corpus payload
-};
-
-/// Stable JSON rendering of a worker slice (the --slice file format).
-[[nodiscard]] std::string to_json(const WorkerSlice& slice);
-
-/// Parses a --slice file. nullopt (with a diagnostic in `error` when
-/// non-null) on malformed JSON or unknown kinds/modules.
-[[nodiscard]] std::optional<WorkerSlice> parse_worker_slice(
-    std::string_view text, std::string* error = nullptr);
 
 // ------------------------------------------------- worker serve protocol --
 
@@ -119,8 +58,8 @@ struct WorkerSlice {
 ///   Init     — construct the worker's Session (jobs, cache) and import
 ///              the exported tree; sent once per worker, before any Run.
 ///   Run      — execute the listed cells on the resident Session and
-///              answer with the same {"ok":true,...,"cells":[...]} shard
-///              document the one-shot --slice verb emits.
+///              answer with one {"ok":true,...,"cells":[...]} shard
+///              document.
 ///   Shutdown — acknowledge and exit 0 (closing the worker's stdin is an
 ///              equivalent, acknowledged-by-exit shutdown).
 struct ServeRequest {

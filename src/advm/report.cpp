@@ -1,6 +1,7 @@
 #include "advm/report.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iomanip>
 #include <locale>
@@ -63,7 +64,10 @@ void append_record(std::ostringstream& os, const TestRunRecord& r) {
   os << "}";
 }
 
-void append_report(std::ostringstream& os, const RegressionReport& report) {
+/// `digest` is report.outcome_digest(), passed in so a matrix document
+/// that renders each cell twice (cells and roll-up) hashes it once.
+void append_report(std::ostringstream& os, const RegressionReport& report,
+                   std::uint64_t digest) {
   os << "{\"derivative\":";
   append_quoted(os, report.derivative);
   os << ",\"platform\":";
@@ -80,11 +84,13 @@ void append_report(std::ostringstream& os, const RegressionReport& report) {
   os << ",\"total_instructions\":" << report.total_instructions();
   os << ",\"total_modeled_seconds\":" << report.total_modeled_seconds();
   os << ",\"outcome_digest\":";
-  append_quoted(os, support::hash_to_string(report.outcome_digest()));
+  append_quoted(os, support::hash_to_string(digest));
   os << ",\"cache\":" << cache_counters_to_json(report.cache) << "}";
 }
 
-void append_rollup(std::ostringstream& os, const MatrixResult& result) {
+/// `digests[i]` is result.cells[i].outcome_digest().
+void append_rollup(std::ostringstream& os, const MatrixResult& result,
+                   const std::vector<std::uint64_t>& digests) {
   os << "[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const RegressionReport& cell = result.cells[i];
@@ -97,10 +103,19 @@ void append_rollup(std::ostringstream& os, const MatrixResult& result) {
     os << ",\"total\":" << cell.records.size();
     os << ",\"build_failures\":" << cell.build_failures();
     os << ",\"outcome_digest\":";
-    append_quoted(os, support::hash_to_string(cell.outcome_digest()));
+    append_quoted(os, support::hash_to_string(digests[i]));
     os << "}";
   }
   os << "]";
+}
+
+std::vector<std::uint64_t> outcome_digests(const MatrixResult& result) {
+  std::vector<std::uint64_t> digests;
+  digests.reserve(result.cells.size());
+  for (const RegressionReport& cell : result.cells) {
+    digests.push_back(cell.outcome_digest());
+  }
+  return digests;
 }
 
 void append_edit_summary(std::ostringstream& os, std::string_view key,
@@ -148,7 +163,7 @@ std::string json_escape(std::string_view s) {
 
 std::string report_to_json(const RegressionReport& report) {
   auto os = make_stream();
-  append_report(os, report);
+  append_report(os, report, report.outcome_digest());
   return os.str();
 }
 
@@ -166,7 +181,7 @@ std::string error_to_json(std::string_view verb, const Status& status) {
 
 std::string rollup_to_json(const MatrixResult& result) {
   auto os = make_stream();
-  append_rollup(os, result);
+  append_rollup(os, result, outcome_digests(result));
   return os.str();
 }
 
@@ -322,7 +337,7 @@ std::string to_json(const RunResult& result) {
   if (!result.status.ok()) return error_document("run", result.status);
   auto os = make_stream();
   os << "{\"ok\":true,\"verb\":\"run\",\"report\":";
-  append_report(os, result.report);
+  append_report(os, result.report, result.report.outcome_digest());
   os << "}";
   return os.str();
 }
@@ -360,14 +375,15 @@ std::string to_json(const MatrixResult& result) {
        << ",\"degraded\":" << (result.fault.degraded ? "true" : "false")
        << "}";
   }
+  const std::vector<std::uint64_t> digests = outcome_digests(result);
   os << ",\"cells\":[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     if (i != 0) os << ",";
-    append_report(os, result.cells[i]);
+    append_report(os, result.cells[i], digests[i]);
   }
   os << "],\"all_passed\":" << (result.all_passed() ? "true" : "false")
      << ",\"rollup\":";
-  append_rollup(os, result);
+  append_rollup(os, result, digests);
   os << "}";
   return os.str();
 }
@@ -471,7 +487,7 @@ std::string to_json(const ReleaseResult& result) {
   }
   os << "],\"frozen\":";
   if (result.frozen) {
-    append_report(os, *result.frozen);
+    append_report(os, *result.frozen, result.frozen->outcome_digest());
   } else {
     os << "null";
   }

@@ -58,7 +58,8 @@ namespace advm::core {
 
 /// The {"ok":false,"verb":...,"error":{code,message}} document every verb
 /// shares — exposed so the CLI can render pre-request failures (bad
-/// --jobs/--shards, unreadable slice files) through the same contract.
+/// --jobs/--shards, a worker started without --serve) through the same
+/// contract.
 [[nodiscard]] std::string error_to_json(std::string_view verb,
                                         const Status& status);
 

@@ -3,13 +3,7 @@
 #include <sstream>
 #include <utility>
 
-#include "advm/environment.h"
-#include "advm/exec/backend.h"
-#include "advm/exec/workerpool.h"
-#include "advm/exec/workplan.h"
-#include "advm/globals_gen.h"
 #include "advm/report.h"
-#include "soc/derivative.h"
 #include "support/disk.h"
 #include "support/hash.h"
 #include "support/json.h"
@@ -54,7 +48,7 @@ VerbOutcome error_outcome(Result result, const std::string& import_error) {
 }
 
 /// A failure before any typed result exists (flag-independent config
-/// validation, corpus-worker orchestration): the shared error document.
+/// validation): the shared error document.
 VerbOutcome status_outcome(std::string_view verb, const Status& status) {
   VerbOutcome outcome;
   outcome.exit = 2;
@@ -63,68 +57,10 @@ VerbOutcome status_outcome(std::string_view verb, const Status& status) {
   return outcome;
 }
 
-/// `init --backend process`: shard corpus generation across worker
-/// subprocesses (exec::plan_corpus + generate_corpus_with_workers). The
-/// orchestrator writes the global layer, each worker generates a
-/// disjoint set of environment directories straight into the output
-/// tree, and the result is byte-identical to a thread-backend init.
-VerbOutcome init_with_process_backend(Session& session,
-                                      const VerbRequest& request,
-                                      const BuildRequest& build) {
-  if (Status status = session.config().validate(); !status.ok()) {
-    return status_outcome("init", status);
-  }
-  const soc::DerivativeSpec* spec =
-      soc::find_derivative(build.derivative);
-  if (spec == nullptr) {
-    BuildRequest probe = build;  // reuse Session validation + rendering
-    return error_outcome(session.run(probe), {});
-  }
-
-  SystemConfig globals_only;
-  globals_only.root = build.root;
-  (void)build_system(session.vfs(), globals_only, *spec);
-  support::export_to_disk(session.vfs(), build.root, request.dir);
-
-  const exec::CorpusPlan plan =
-      exec::plan_corpus(build, session.config().shards);
-  exec::ProcessBackendConfig process_config;
-  process_config.jobs_per_worker =
-      exec::divide_jobs(session.config().jobs, plan.slices.size());
-  if (Status status = exec::generate_corpus_with_workers(plan, request.dir,
-                                                         process_config);
-      !status.ok()) {
-    return status_outcome("init", status);
-  }
-
-  // Fold the workers' output back through the session VFS so the
-  // rendered result (and its JSON document) comes from the tree that
-  // actually landed on disk.
-  support::import_from_disk(session.vfs(), request.dir, build.root);
-  BuildResult result;
-  result.derivative = spec->name;
-  result.layout = layout_from_tree(session.vfs(), build.root);
-  result.files = session.vfs().list_tree(build.root).size();
-  for (const exec::PlannedEnvironment& env : plan.environments) {
-    result.tests += env.config.test_count;
-  }
-  VerbOutcome outcome;
-  outcome.json = to_json(result);
-  std::ostringstream text;
-  text << "created " << request.dir << " for " << result.derivative << ": "
-       << result.files << " files, " << result.tests << " tests ("
-       << plan.slices.size() << " corpus shards)\n";
-  outcome.text = text.str();
-  return outcome;
-}
-
 VerbOutcome do_init(Session& session, const VerbRequest& request,
                     const std::string& vfs_root) {
   BuildRequest build = request.build;
   build.root = vfs_root;
-  if (session.config().backend == ExecBackendKind::Process) {
-    return init_with_process_backend(session, request, build);
-  }
   BuildResult result = session.run(build);
   if (!result.status.ok()) return error_outcome(std::move(result), {});
   const std::size_t written =

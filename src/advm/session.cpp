@@ -267,7 +267,7 @@ MatrixResult Session::run_matrix_on_backend(const MatrixRequest& request) {
     // divide it across the live workers so `--shards S --jobs N` never
     // oversubscribes N×S threads.
     process_config.jobs_per_worker =
-        exec::divide_jobs(config_.jobs, plan.slices.size());
+        exec::divide_jobs(config_.jobs, plan.shards);
     // Both use the same "auto" sentinel value, so the session default
     // passes through unchanged.
     process_config.batch_threshold_ms = config_.batch_threshold_ms;
@@ -294,7 +294,7 @@ MatrixResult Session::run_matrix_on_backend(const MatrixRequest& request) {
     backend = std::make_unique<exec::ThreadBackend>(context());
   }
   result.backend = backend->name();
-  result.shards = plan.slices.size();
+  result.shards = plan.shards;
 
   exec::MatrixExecution execution = backend->run_matrix(plan);
   result.status = std::move(execution.status);

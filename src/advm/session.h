@@ -19,8 +19,8 @@
 // Callers construct a request struct and call `session.run(request)`;
 // validation (unknown derivative/platform, bad root) comes back as a typed
 // Status instead of subsystem wiring errors. Every operation in one process
-// shares one cache and one board pool *by construction* — a shard worker at
-// corpus scale is just a Session fed a MatrixRequest slice.
+// shares one cache and one board pool *by construction* — a process-backend
+// worker is just a Session fed the cells of serve requests.
 //
 // Every result serializes to stable JSON through src/advm/report.h, which
 // is what `advm --format json` prints for machine consumers.
@@ -141,7 +141,10 @@ struct MatrixResult {
   Status status;
   std::vector<RegressionReport> cells;  ///< derivative-major order
   std::string backend = "thread";  ///< execution backend that ran the cube
-  std::size_t shards = 1;          ///< work-plan slices actually used
+  /// Worker shards the plan allowed: min(requested shards, cells). The
+  /// process backend spawns at most this many workers; the thread backend
+  /// reports it but runs the cube in-process.
+  std::size_t shards = 1;
   /// Pooled process backend only: per-worker dispatch counters (empty on
   /// the thread backend), the effective per-worker pool size after the
   /// session's --jobs budget is divided across live workers, the
@@ -156,7 +159,8 @@ struct MatrixResult {
 
   [[nodiscard]] bool all_passed() const;
   /// Requests served beyond each worker's first — the spawn-amortization
-  /// the persistent pool exists for. 0 means every worker ran one slice.
+  /// the persistent pool exists for. 0 means every worker served a single
+  /// request.
   [[nodiscard]] std::size_t worker_reuse() const;
 };
 
@@ -244,16 +248,13 @@ struct SessionConfig {
   /// Worker-pool size for every operation: 1 = serial, 0 = one worker per
   /// hardware thread. Values above kMaxJobs fail request validation.
   std::size_t jobs = 1;
-  /// Work-plan slices for matrix execution. Must be ≥ 1 (0 fails request
+  /// Worker shards for matrix execution. Must be ≥ 1 (0 fails request
   /// validation — a degenerate shard count must not silently serialise).
-  /// The thread backend treats the plan as one in-process cube; the
-  /// process backend spawns one worker per (non-empty) slice.
+  /// The thread backend runs the cube in-process; the process backend
+  /// spawns up to min(shards, cells) pooled workers.
   std::size_t shards = 1;
-  /// Applies to the matrix and run verbs. Build (corpus generation) stays
-  /// in-process here because its output is this session's VFS, which a
-  /// subprocess cannot share; sharded corpus generation targets a *disk*
-  /// tree instead — exec::plan_corpus + generate_corpus_with_workers,
-  /// orchestrated by `advm init --backend process`.
+  /// Applies to the matrix and run verbs only. Every other verb — init
+  /// (corpus generation) included — runs in-process on this session.
   ExecBackendKind backend = ExecBackendKind::Thread;
   /// Object-cache byte budget, spanning the in-memory and persistent
   /// tiers (LRU eviction); 0 = unbounded.
@@ -271,7 +272,7 @@ struct SessionConfig {
   /// this process's own executable (right when the caller *is* advm).
   std::string worker_exe;
   /// Process backend: scratch directory for the exported tree and the
-  /// slice/report files; empty = the system temp directory.
+  /// workers' stderr captures; empty = the system temp directory.
   std::string scratch_dir;
   /// Process backend: tiny-cell batching threshold in milliseconds.
   /// Cells the persistent cost model estimates under the threshold are

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -208,6 +209,48 @@ TEST_F(CliE2E, RunOnWrongDerivativeFailsLoudly) {
   ASSERT_EQ(init.exit_code, 0) << init.err;
   auto run = run_cli("run \"" + env_dir_ + "\" --derivative SC88-D");
   EXPECT_NE(run.exit_code, 0);
+}
+
+/// Every regular file under `root`, keyed by its path relative to `root`.
+std::map<std::string, std::string> read_tree(const fs::path& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    files[fs::relative(entry.path(), root).string()] = slurp(entry.path());
+  }
+  return files;
+}
+
+TEST_F(CliE2E, InitWritesTheSameTreeOnEveryBackend) {
+  // --backend and --shards steer matrix execution only; init always
+  // builds in-process, so the flags must not change a byte of its output.
+  const std::string threaded = (scratch_ / "threaded").string();
+  const std::string process = (scratch_ / "process").string();
+  auto plain = run_cli("init \"" + threaded + "\" --tests 2 --format json");
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+  auto sharded = run_cli("init \"" + process +
+                         "\" --tests 2 --backend process --shards 3"
+                         " --format json");
+  ASSERT_EQ(sharded.exit_code, 0) << sharded.err;
+  EXPECT_EQ(sharded.out, plain.out);
+
+  const auto expected = read_tree(threaded);
+  EXPECT_GT(expected.size(), 10u);
+  EXPECT_EQ(read_tree(process), expected);
+}
+
+TEST_F(CliE2E, WorkerWithoutServeIsATypedError) {
+  // The pooled --serve protocol is the only worker mode; any other
+  // argument list is refused up front.
+  for (const char* args : {"worker", "worker --jobs 2", "worker plan.json"}) {
+    auto worker = run_cli(args);
+    EXPECT_EQ(worker.exit_code, 2) << args;
+    EXPECT_NE(worker.out.find("\"ok\":false"), std::string::npos)
+        << args << ": " << worker.out;
+    EXPECT_NE(worker.out.find("\"code\":\"advm.bad-worker-mode\""),
+              std::string::npos)
+        << args << ": " << worker.out;
+  }
 }
 
 TEST_F(CliE2E, UsageAndBadArgumentsExitNonZero) {

@@ -1,8 +1,8 @@
-// The execution layer: work-plan slicing, the worker slice protocol, and
+// The execution layer: work planning, the worker serve protocol, and
 // backend parity.
 //
 // The load-bearing contract under test is deterministic aggregation —
-// plans partition units round-robin with positions recorded, and both
+// plans enumerate cells with their positions recorded, and both
 // execution backends return cell reports in cube order with identical
 // outcome digests and roll-up JSON bytes. The process-backend tests drive
 // the real `advm` binary (ADVM_CLI_PATH, injected by tests/CMakeLists.txt)
@@ -75,114 +75,63 @@ TEST(WorkPlan, MatrixPlanEnumeratesTheCubeDerivativeMajor) {
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
     EXPECT_EQ(plan.cells[i].index, i);
   }
-  ASSERT_EQ(plan.slices.size(), 1u);
-  EXPECT_EQ(plan.slices[0].cells.size(), 4u);
+  EXPECT_EQ(plan.shards, 1u);
 }
 
 TEST(WorkPlan, SlicesPartitionCellsRoundRobin) {
+  // Workers pull cells from the plan at run time, so the plan's partition
+  // is its cell list: every cell exactly once, in index order, whatever
+  // the shard count.
   const exec::MatrixPlan plan = exec::plan_matrix(small_cube(), 3);
-  ASSERT_EQ(plan.slices.size(), 3u);
-  // Round-robin deal: cell i lands on slice i % 3.
-  EXPECT_EQ(plan.slices[0].cells.size(), 2u);  // cells 0, 3
-  EXPECT_EQ(plan.slices[1].cells.size(), 1u);  // cell 1
-  EXPECT_EQ(plan.slices[2].cells.size(), 1u);  // cell 2
-  EXPECT_EQ(plan.slices[0].cells[1].index, 3u);
-
-  // Every cell appears exactly once across slices.
+  EXPECT_EQ(plan.shards, 3u);
+  ASSERT_EQ(plan.cells.size(), 4u);
   std::vector<bool> seen(plan.cells.size(), false);
-  for (const exec::MatrixSlice& slice : plan.slices) {
-    for (const exec::PlannedCell& cell : slice.cells) {
-      EXPECT_FALSE(seen[cell.index]);
-      seen[cell.index] = true;
-    }
+  for (std::size_t i = 0; i < plan.cells.size(); ++i) {
+    const exec::PlannedCell& cell = plan.cells[i];
+    EXPECT_EQ(cell.index, i);
+    ASSERT_LT(cell.index, seen.size());
+    EXPECT_FALSE(seen[cell.index]);
+    seen[cell.index] = true;
   }
   for (const bool covered : seen) EXPECT_TRUE(covered);
 }
 
 TEST(WorkPlan, MoreShardsThanCellsDropsEmptySlices) {
+  // No worker is planned that would have no cell to run.
   const exec::MatrixPlan plan = exec::plan_matrix(small_cube(), 64);
-  EXPECT_EQ(plan.slices.size(), 4u);  // one cell each, nothing empty
-  for (const exec::MatrixSlice& slice : plan.slices) {
-    EXPECT_EQ(slice.cells.size(), 1u);
+  EXPECT_EQ(plan.shards, 4u);
+  EXPECT_EQ(plan.cells.size(), 4u);
+}
+
+TEST(WorkPlan, ShardCountIsTheRequestCappedAtTheCellCount) {
+  MatrixRequest empty_cube = small_cube();
+  empty_cube.derivatives.clear();
+  struct Case {
+    const char* name;
+    MatrixRequest request;
+    std::size_t requested;
+    std::size_t expected;
+  };
+  const Case cases[] = {
+      {"one shard", small_cube(), 1, 1},
+      {"fewer shards than cells", small_cube(), 3, 3},
+      {"as many shards as cells", small_cube(), 4, 4},
+      {"more shards than cells", small_cube(), 64, 4},
+      {"zero shards count as one", small_cube(), 0, 1},
+      {"no cells", empty_cube, 3, 0},
+  };
+  for (const Case& c : cases) {
+    const exec::MatrixPlan plan = exec::plan_matrix(c.request, c.requested);
+    EXPECT_EQ(plan.shards, c.expected) << c.name;
+    EXPECT_EQ(plan.cells.size(),
+              c.request.derivatives.size() * c.request.platforms.size())
+        << c.name;
   }
 }
 
-TEST(WorkPlan, CorpusPlanDefaultsToTheCanonicalSystem) {
-  BuildRequest request;
-  request.tests_per_module = 3;
-  const exec::CorpusPlan plan = exec::plan_corpus(request, 2);
-  ASSERT_EQ(plan.environments.size(), 5u);
-  EXPECT_EQ(plan.environments[0].config.name, "PAGE_MODULE");
-  EXPECT_EQ(plan.environments[0].config.test_count, 3u);
-  ASSERT_EQ(plan.slices.size(), 2u);
-  EXPECT_EQ(plan.slices[0].environments.size(), 3u);
-  EXPECT_EQ(plan.slices[1].environments.size(), 2u);
-}
+// ------------------------------------------------------- serve protocol ----
 
-// ------------------------------------------------------- slice protocol ----
-
-TEST(WorkerSliceProtocol, MatrixSliceRoundTripsThroughJson) {
-  exec::WorkerSlice slice;
-  slice.kind = exec::WorkerSlice::Kind::Matrix;
-  slice.tree_dir = "/tmp/tree with space";
-  slice.max_instructions = 12345;
-  slice.jobs = 3;
-  slice.cache_dir = "/tmp/cache";
-  slice.cache_max_bytes = 1u << 20;
-  slice.cells = {{2, "SC88-B", "golden-model"}, {5, "SC88-C", "hdl-rtl"}};
-
-  const auto parsed = exec::parse_worker_slice(exec::to_json(slice));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->kind, exec::WorkerSlice::Kind::Matrix);
-  EXPECT_EQ(parsed->tree_dir, slice.tree_dir);
-  EXPECT_EQ(parsed->max_instructions, 12345u);
-  EXPECT_EQ(parsed->jobs, 3u);
-  EXPECT_EQ(parsed->cache_dir, "/tmp/cache");
-  EXPECT_EQ(parsed->cache_max_bytes, 1u << 20);
-  ASSERT_EQ(parsed->cells.size(), 2u);
-  EXPECT_EQ(parsed->cells[0].index, 2u);
-  EXPECT_EQ(parsed->cells[1].derivative, "SC88-C");
-  EXPECT_EQ(parsed->cells[1].platform, "hdl-rtl");
-}
-
-TEST(WorkerSliceProtocol, CorpusSliceRoundTripsThroughJson) {
-  exec::WorkerSlice slice;
-  slice.kind = exec::WorkerSlice::Kind::Corpus;
-  slice.tree_dir = "/tmp/out";
-  slice.derivative = "SC88-B";
-  slice.environments.push_back(
-      {1, {"UART_MODULE", ModuleKind::Uart, 4, true}});
-  slice.environments.push_back(
-      {3, {"RAW_MODULE", ModuleKind::Memory, 2, false}});
-
-  const auto parsed = exec::parse_worker_slice(exec::to_json(slice));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->kind, exec::WorkerSlice::Kind::Corpus);
-  EXPECT_EQ(parsed->derivative, "SC88-B");
-  ASSERT_EQ(parsed->environments.size(), 2u);
-  EXPECT_EQ(parsed->environments[0].config.module, ModuleKind::Uart);
-  EXPECT_EQ(parsed->environments[1].config.name, "RAW_MODULE");
-  EXPECT_FALSE(parsed->environments[1].config.advm_style);
-  EXPECT_EQ(parsed->environments[1].index, 3u);
-}
-
-TEST(WorkerSliceProtocol, MalformedSlicesAreRejectedWithADiagnostic) {
-  std::string error;
-  EXPECT_FALSE(exec::parse_worker_slice("not json", &error).has_value());
-  EXPECT_FALSE(error.empty());
-
-  EXPECT_FALSE(exec::parse_worker_slice(
-                   R"({"kind":"warp","tree_dir":"/x"})", &error)
-                   .has_value());
-  EXPECT_NE(error.find("warp"), std::string::npos);
-
-  // A matrix slice without cells is a planner bug, not busywork.
-  EXPECT_FALSE(exec::parse_worker_slice(
-                   R"({"kind":"matrix","tree_dir":"/x","cells":[]})", &error)
-                   .has_value());
-}
-
-TEST(WorkerSliceProtocol, ServeRequestsRoundTripThroughJson) {
+TEST(WorkerServeProtocol, ServeRequestsRoundTripThroughJson) {
   exec::ServeRequest init;
   init.kind = exec::ServeRequest::Kind::Init;
   init.tree_dir = "/tmp/tree with space";
@@ -564,35 +513,6 @@ TEST(CostModel, EmptyCacheDirDisablesTheModel) {
   model.record({"SC88-A", "golden-model", "t", 1.0});
   EXPECT_EQ(model.publish(), 0u);
   EXPECT_FALSE(model.estimate("SC88-A", "golden-model", "t").has_value());
-}
-
-// --------------------------------------------------- spawn-path hardening --
-
-TEST(WorkerSpawn, SliceWriteFailureIsATypedStatusNotAWorkerParseError) {
-  exec::WorkerSlice slice;
-  slice.kind = exec::WorkerSlice::Kind::Matrix;
-  slice.tree_dir = "/tmp/tree";
-  slice.cells = {{0, "SC88-A", "golden-model"}};
-  const Status status = exec::write_slice_file(
-      "/nonexistent-advm-dir/shard-0.slice.json", slice);
-  EXPECT_EQ(status.code, "advm.exec-spawn-failed");
-  EXPECT_NE(status.message.find("cannot write slice file"),
-            std::string::npos);
-
-  ScratchDir scratch("slice_write");
-  EXPECT_TRUE(
-      exec::write_slice_file(scratch.path() + "/ok.slice.json", slice)
-          .ok());
-}
-
-TEST(WorkerSpawn, OneshotSpawnFailureReportsInsteadOfDecodingGarbage) {
-  ScratchDir scratch("oneshot_spawn");
-  std::string error;
-  const int exit_code = exec::run_oneshot_worker(
-      "/nonexistent/advm-worker-binary", scratch.path() + "/s.json",
-      scratch.path() + "/out.json", scratch.path() + "/err.txt", &error);
-  EXPECT_EQ(exit_code, -1);
-  EXPECT_FALSE(error.empty());
 }
 
 TEST(WorkerPool, DivideJobsNeverOversubscribesAndNeverStarves) {
@@ -1089,39 +1009,6 @@ TEST(FaultTolerance, CrashLapKeepsTheMatrixJsonContract) {
       to_json(lab.thread_result);
   EXPECT_EQ(thread_json.find("\"fault\""), std::string::npos);
   EXPECT_EQ(thread_json.find("request_timeout_ms"), std::string::npos);
-}
-
-TEST(ExecutionBackend, CorpusWorkersGenerateTheTreeTheThreadPathBuilds) {
-  // Shard the canonical corpus across workers and diff the result against
-  // an in-process build: byte-identical trees, or sharded init is broken.
-  ScratchDir out("corpus_out");
-  BuildRequest request;
-  request.tests_per_module = 2;
-  const exec::CorpusPlan plan = exec::plan_corpus(request, 3);
-  exec::ProcessBackendConfig config;
-  config.worker_exe = ADVM_CLI_PATH;
-  const Status status =
-      exec::generate_corpus_with_workers(plan, out.path(), config);
-  ASSERT_TRUE(status.ok()) << status.message;
-
-  Session reference;
-  ASSERT_TRUE(build_small_system(reference).status.ok());
-
-  std::size_t files_compared = 0;
-  for (const std::string& path : reference.vfs().list_tree("/SYS")) {
-    // Workers own the environments; the orchestrator (not under test
-    // here) owns the global layer.
-    if (path.find("Global_Libraries") != std::string::npos) continue;
-    const std::filesystem::path on_disk =
-        std::filesystem::path(out.path()) / path.substr(sizeof("/SYS"));
-    ASSERT_TRUE(std::filesystem::exists(on_disk)) << on_disk;
-    std::ifstream in(on_disk, std::ios::binary);
-    std::ostringstream content;
-    content << in.rdbuf();
-    EXPECT_EQ(content.str(), reference.vfs().read_required(path)) << path;
-    ++files_compared;
-  }
-  EXPECT_GT(files_compared, 10u);
 }
 
 }  // namespace

@@ -29,9 +29,6 @@
 //                                                        unix socket; --stats /
 //                                                        --stop control a live
 //                                                        one
-//   advm worker --slice <file>                           execute one work-plan
-//                                                        slice (one-shot; used
-//                                                        by sharded init)
 //   advm worker --serve                                  persistent worker:
 //                                                        line-delimited JSON
 //                                                        requests on stdin
@@ -44,13 +41,13 @@
 // json` (any verb) renders the result as the stable machine-readable
 // document from src/advm/report.h instead of the human text.
 //
-// `--backend process` shards matrix cells (or corpus environments, for
-// init) across `advm worker` subprocesses — this very binary, re-entered
-// through the worker verb. `--cache-dir` points the content-addressed
-// object cache at a persistent directory that workers and consecutive
-// invocations share. `--attach <socket>` (or ADVM_SOCKET) ships any verb
-// to a resident `advm serve` daemon instead — same flags, same documents,
-// same exit codes, but a warm shared Session on the far side.
+// `--backend process` shards matrix cells across a pool of `advm worker
+// --serve` subprocesses — this very binary, re-entered through the worker
+// verb. `--cache-dir` points the content-addressed object cache at a
+// persistent directory that workers and consecutive invocations share.
+// `--attach <socket>` (or ADVM_SOCKET) ships any verb to a resident `advm
+// serve` daemon instead — same flags, same documents, same exit codes, but
+// a warm shared Session on the far side.
 //
 // Environments are imported from disk into the session's VFS, transformed,
 // and written back — so `port` literally edits only the abstraction layer
@@ -59,7 +56,6 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -69,8 +65,6 @@
 #include <thread>
 #include <vector>
 
-#include "advm/exec/backend.h"
-#include "advm/exec/workerpool.h"
 #include "advm/exec/workplan.h"
 #include "advm/report.h"
 #include "advm/serve/client.h"
@@ -429,12 +423,11 @@ int cmd_serve(const Args& args) {
 
 /// Runs the planned cells on a resident session and renders the matrix
 /// shard document ({"ok":true,"verb":"worker","kind":"matrix","cells":
-/// [{"index":N,"micros":U,"report":{...}}]}) — the response shape shared
-/// by the one-shot --slice verb and the --serve Run command. `micros` is
-/// the cell's measured wall-clock (what the orchestrator's cost model
-/// records); an integer so the wire format has no locale/precision
-/// pitfalls. nullopt (with the failing Status in `error`) when a cell
-/// request fails.
+/// [{"index":N,"micros":U,"report":{...}}]}) — the --serve Run response.
+/// `micros` is the cell's measured wall-clock (what the orchestrator's
+/// cost model records); an integer so the wire format has no
+/// locale/precision pitfalls. nullopt (with the failing Status in
+/// `error`) when a cell request fails.
 std::optional<std::string> run_cells_document(
     Session& session, const std::vector<exec::PlannedCell>& cells,
     std::uint64_t max_instructions, Status* error) {
@@ -471,7 +464,7 @@ std::optional<std::string> run_cells_document(
 /// answers each with a single-line JSON document on stdout: an Init
 /// constructs the resident Session and imports the exported tree, every
 /// Run executes its cells on that same session (warm cache, warm board
-/// pool — spawn and import are paid once per worker, not per slice), a
+/// pool — spawn and import are paid once per worker, not per request), a
 /// Shutdown (or EOF on stdin) exits 0. A malformed request or a failed
 /// Run answers with the shared error document; the worker stays resident
 /// and lets the orchestrator decide.
@@ -584,104 +577,15 @@ int cmd_worker_serve() {
   return 0;  // EOF on stdin is the orchestrator's shutdown signal.
 }
 
-/// `advm worker --slice <file>` (one-shot, kept for the corpus path and
-/// back-compat) or `advm worker --serve` (persistent pool endpoint).
-/// Output is always a JSON document on stdout
-/// ({"ok":true,"verb":"worker",...} or the shared error document), exit
-/// code 0 when the slice executed (test failures live inside the
-/// reports), 2 when it could not.
+/// `advm worker --serve`, the process backend's pool endpoint. Any other
+/// form exits 2 with the shared error document on stdout.
 int cmd_worker(const Args& args) {
   if (args.options.count("serve")) return cmd_worker_serve();
-  const auto slice_option = args.options.find("slice");
-  if (slice_option == args.options.end()) {
-    std::cout << error_to_json(
-                     "worker",
-                     Status::error("advm.bad-slice", "missing --slice file"))
-              << "\n";
-    return 2;
-  }
-  std::ifstream in(slice_option->second, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    std::cout << error_to_json(
-                     "worker",
-                     Status::error("advm.bad-slice", "unreadable slice file " +
-                                                         slice_option->second))
-              << "\n";
-    return 2;
-  }
-  std::string parse_error;
-  const auto slice = exec::parse_worker_slice(text.str(), &parse_error);
-  if (!slice) {
-    std::cout << error_to_json("worker",
-                               Status::error("advm.bad-slice", parse_error))
-              << "\n";
-    return 2;
-  }
-
-  SessionConfig config;
-  config.jobs = slice->jobs;
-  config.cache_dir = slice->cache_dir;
-  config.cache_max_bytes = slice->cache_max_bytes;
-  Session session(std::move(config));
-
-  if (slice->kind == exec::WorkerSlice::Kind::Matrix) {
-    try {
-      support::import_from_disk(session.vfs(), slice->tree_dir, kVfsRoot);
-    } catch (const std::exception& e) {
-      std::cout << error_to_json(
-                       "worker", Status::error("advm.import-failed", e.what()))
-                << "\n";
-      return 2;
-    }
-    Status error;
-    const auto document = run_cells_document(
-        session, slice->cells, slice->max_instructions, &error);
-    if (!document) {
-      std::cout << error_to_json("worker", error) << "\n";
-      return 2;
-    }
-    std::cout << *document << "\n";
-    return 0;
-  }
-
-  // Corpus slice: generate this shard's environments in the session VFS
-  // and export exactly those directories — the orchestrator owns the
-  // global layer, and sibling shards own theirs.
-  BuildRequest request;
-  request.root = kVfsRoot;
-  request.derivative = slice->derivative;
-  for (const exec::PlannedEnvironment& env : slice->environments) {
-    request.environments.push_back(env.config);
-  }
-  BuildResult built = session.run(request);
-  if (!built.status.ok()) {
-    std::cout << error_to_json("worker", built.status) << "\n";
-    return 2;
-  }
-  std::size_t files = 0;
-  std::ostringstream os;
-  os << "{\"ok\":true,\"verb\":\"worker\",\"kind\":\"corpus\","
-        "\"environments\":[";
-  for (std::size_t i = 0; i < slice->environments.size(); ++i) {
-    const std::string& name = slice->environments[i].config.name;
-    try {
-      files += support::export_to_disk(
-          session.vfs(), std::string(kVfsRoot) + "/" + name,
-          slice->tree_dir + "/" + name);
-    } catch (const std::exception& e) {
-      std::cout << error_to_json(
-                       "worker", Status::error("advm.export-failed", e.what()))
-                << "\n";
-      return 2;
-    }
-    if (i != 0) os << ",";
-    os << "\"" << json_escape(name) << "\"";
-  }
-  os << "],\"files\":" << files << "}";
-  std::cout << os.str() << "\n";
-  return 0;
+  std::cout << error_to_json("worker",
+                             Status::error("advm.bad-worker-mode",
+                                           "advm worker requires --serve"))
+            << "\n";
+  return 2;
 }
 
 int usage() {
@@ -708,7 +612,7 @@ int usage() {
          " [--jobs N] [--cache-dir DIR]\n"
          "             [--idle-timeout-ms MS] [--serve-threads N]"
          " | --stats | --stop\n"
-         "  advm worker --slice <file> | --serve\n"
+         "  advm worker --serve\n"
          "options: --format json renders any verb's result as JSON;\n"
          "         --attach <socket> (or ADVM_SOCKET) runs any verb on a"
          " resident daemon;\n"
@@ -721,7 +625,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   Args args = parse_args(argc, argv);
-  // The worker verb is addressed by --slice, and serve by --socket — no
+  // The worker verb is addressed by --serve, and serve by --socket — no
   // positional directory for either.
   if (args.dir.empty() && args.command != "worker" &&
       args.command != "serve") {
